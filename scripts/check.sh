@@ -15,9 +15,10 @@
 #    must serve GETs on every shard and its /metrics aggregate must equal
 #    the sum of the per-shard series, and bench/live_serving --fe-shards 4
 #    must emit the fe_shards / shard_requests columns.
-# 6. Full mode only: smoke the distributed front end — bench/live_serving
-#    --fe-fleet 3 (3 FrontendServers behind the edge router) must complete
-#    with zero failures and emit the fe_fleet / fe_requests / fe_hits
+# 6. Full mode only: smoke the distributed front end with
+#    scripts/smoke_fleet.sh — a router + 3-member fleet probed end to end,
+#    then bench/live_serving --fe-fleet 3 read-only and with a write mix,
+#    both with zero failures and the fe_fleet / fe_requests / fe_hits
 #    columns.
 # 7. Full mode only: smoke hot-key detection — bench/live_serving with
 #    --attack adaptive --detect must flag and re-provision keys with a
@@ -333,35 +334,10 @@ EOF
   done
   echo "check.sh: sharded serving smoke OK"
 
-  # Fleet smoke: a 3-member front-end fleet behind the edge router. The row
-  # must carry the fleet columns with one cell per member, and the run must
-  # complete without failures (the router hides every fleet REDIRECT).
-  fleet_json="$BUILD_DIR/smoke_live_fleet.json"
-  rm -f "$fleet_json"
-  "$BUILD_DIR/bench/live_serving" \
-    --n 3 --d 2 --m 1024 --c 16 --rate 1000 --duration 1 --warmup 0.2 \
-    --threads 2 --fe-fleet 3 --json "$fleet_json" >/dev/null
-  validate_json "$fleet_json" live_serving
-  for column in fe_fleet fe_requests fe_hits; do
-    if ! grep -q "\"$column\"" "$fleet_json"; then
-      echo "check.sh: fleet live JSON missing column $column" >&2
-      exit 1
-    fi
-  done
-  python3 - "$fleet_json" <<'EOF'
-import json, sys
-
-row = json.load(open(sys.argv[1]))["series"][0]
-assert int(row["fe_fleet"]) == 3, row["fe_fleet"]
-per_fe = str(row["fe_requests"]).split("|")
-assert len(per_fe) == 3, f"fe_requests must list 3 members: {per_fe}"
-assert sum(int(r) for r in per_fe) >= int(row["completed"]), \
-    (per_fe, row["completed"])
-assert int(row["failures"]) == 0, \
-    f"fleet run must complete without failures, got {row['failures']}"
-print(f"fleet smoke: per-FE requests {per_fe}, "
-      f"live_gain={row['live_gain']}")
-EOF
+  # Fleet smoke: a 3-member front-end fleet behind the edge router, probed
+  # through the router and drained on SIGTERM, then the adversarial and
+  # write-mix load generator runs (scripts/smoke_fleet.sh, shared with CI).
+  scripts/smoke_fleet.sh "$BUILD_DIR"
   echo "check.sh: fleet serving smoke OK"
 
   # Detect smoke: the adaptive hot-key attack against the perfect cache with

@@ -14,9 +14,6 @@
 namespace scp::net {
 namespace {
 
-constexpr double kSweepIntervalS = 0.050;
-constexpr double kReconnectBaseS = 0.050;
-constexpr double kReconnectCapS = 1.0;
 /// Repair/handoff frames deferred while a peer connection establishes; a
 /// peer that stays down longer than this buffer's worth is healed later by
 /// read-repair instead.
@@ -116,13 +113,33 @@ bool BackendServer::start() {
     shard->group.resize(config_.replication);
 
     Shard* s = shard.get();
+    s->peers.emplace(
+        *s->loop,
+        UpstreamPeers::Options{.name = "scp_backend",
+                               .timeout_s = config_.op_timeout_s,
+                               .max_deferred = kMaxQueuedPerPeer},
+        Upstream<PeerCall>::Callbacks{
+            .on_reply =
+                [this, s](std::uint32_t node, PeerCall&& call,
+                          Message&& reply) {
+                  handle_peer_reply(*s, node, call, std::move(reply));
+                },
+            .on_lost =
+                [this, s](std::uint32_t, PeerCall&& call, UpstreamLoss) {
+                  apply_peer_loss(*s, call);
+                }});
     Reactor::Callbacks callbacks;
     callbacks.on_message = [this, s](ConnId conn, Message&& message) {
-      handle(*s, conn, std::move(message));
+      if (!s->peers->on_message(conn, std::move(message))) {
+        handle(*s, conn, std::move(message));
+      }
     };
-    callbacks.on_close = [this, s](ConnId conn) { on_conn_close(*s, conn); };
-    callbacks.on_connect = [this, s](ConnId conn, bool ok) {
-      on_conn_connect(*s, conn, ok);
+    callbacks.on_close = [s](ConnId conn) {
+      if (!s->hot_subs.empty()) std::erase(s->hot_subs, conn);
+      s->peers->on_close(conn);
+    };
+    callbacks.on_connect = [s](ConnId conn, bool ok) {
+      s->peers->on_connect(conn, ok);
     };
     s->loop->set_callbacks(std::move(callbacks));
 
@@ -140,7 +157,7 @@ bool BackendServer::start() {
       s->loop->set_metrics(registry.get());
       registries_.push_back(std::move(registry));
     }
-    s->loop->run_after(kSweepIntervalS, [this, s] { sweep_ops(*s); });
+    s->peers->start();
     if (config_.detect && k == 0) {
       s->loop->run_after(config_.detect_interval_s, [this] { hot_tick(); });
     }
@@ -157,13 +174,16 @@ bool BackendServer::start() {
       return false;
     }
   }
+  // Counted before the loops run: once they do, a peer's writes may
+  // already be landing in the store.
+  const std::size_t keys = storage_.live_count();
   if (!pool_.start()) return false;
   if (!config_.peers.empty()) {
     set_peers(std::vector<std::pair<std::string, std::uint16_t>>(
         config_.peers));
   }
   SCP_LOG_INFO << "scp_backend node " << config_.node_id << " serving "
-               << storage_.live_count() << " keys on " << config_.address
+               << keys << " keys on " << config_.address
                << ":" << pool_.port() << " (" << pool_.shards() << " shard"
                << (pool_.shards() == 1 ? "" : "s")
                << (peers_configured_.load() ? ", replicated" : "") << ")";
@@ -172,6 +192,7 @@ bool BackendServer::start() {
 
 void BackendServer::stop(double drain_s) {
   stopping_.store(true);
+  for (auto& shard : shards_) shard->peers->stop();
   pool_.stop(drain_s);
   if (metrics_http_ != nullptr) {
     metrics_http_->stop();
@@ -204,19 +225,8 @@ void BackendServer::set_peers(
     s->loop->post([this, s, endpoints] {
       for (std::uint32_t node = 0; node < endpoints.size(); ++node) {
         if (node == config_.node_id || endpoints[node].first.empty()) continue;
-        if (s->peers.size() <= node) s->peers.resize(node + 1);
-        PeerState& peer = s->peers[node];
-        if (peer.conn != kInvalidConn && peer.address == endpoints[node].first &&
-            peer.port == endpoints[node].second) {
-          continue;  // already wired
-        }
-        peer.address = endpoints[node].first;
-        peer.port = endpoints[node].second;
-        peer.left = false;
-        if (peer.conn == kInvalidConn) {
-          peer.conn = s->loop->connect(peer.address, peer.port);
-          s->peer_by_conn[peer.conn] = node;
-        }
+        s->peers->set_peer(node, endpoints[node].first,
+                           endpoints[node].second);
       }
     });
   }
@@ -242,9 +252,7 @@ bool BackendServer::wait_peers_up(double timeout_s) const {
           std::chrono::duration<double>(timeout_s));
   while (true) {
     std::uint64_t up = 0;
-    for (const auto& shard : shards_) {
-      up += shard->peers_up.load(std::memory_order_relaxed);
-    }
+    for (const auto& shard : shards_) up += shard->peers->up_count();
     if (up >= want) return true;
     if (std::chrono::steady_clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -336,11 +344,7 @@ std::optional<StorageEngine::Entry> BackendServer::storage_entry(
 }
 
 void BackendServer::handle(Shard& shard, ConnId conn, Message&& message) {
-  auto it = shard.peer_by_conn.find(conn);
-  if (it != shard.peer_by_conn.end()) {
-    handle_peer_reply(shard, it->second, std::move(message));
-    return;
-  }
+  const Caller client{conn, message.id};
   switch (message.type) {
     case MsgType::kGet:
       handle_get(shard, conn, message);
@@ -369,12 +373,12 @@ void BackendServer::handle(Shard& shard, ConnId conn, Message&& message) {
       return;
     case MsgType::kHotKeyReport:
       // Gossip from a peer (it arrives on the conn the peer dialed to us,
-      // never on our reply-FIFO outbound conns). One-way: no reply.
+      // never on our own mesh conns). One-way: no reply.
       handle_hot_report(message);
       return;
     case MsgType::kHotKeySubscribe:
-      // Deliberately unacked (see wire.h): the subscriber's reply-FIFO
-      // matching must not see a frame it never owed.
+      // Deliberately unacked (see wire.h): it carries no request id and
+      // the subscriber expects no reply.
       if (config_.detect &&
           std::find(shard.hot_subs.begin(), shard.hot_subs.end(), conn) ==
               shard.hot_subs.end()) {
@@ -385,20 +389,20 @@ void BackendServer::handle(Shard& shard, ConnId conn, Message&& message) {
       Message reply;
       reply.type = MsgType::kStatsReply;
       reply.stats = stats();
-      shard.loop->send(conn, reply);
+      shard.loop->reply(client, reply);
       return;
     }
     case MsgType::kMetricsRequest: {
       Message reply;
       reply.type = MsgType::kMetricsReply;
       reply.metrics = metrics_snapshot();
-      shard.loop->send(conn, reply);
+      shard.loop->reply(client, reply);
       return;
     }
     case MsgType::kPing: {
       Message reply;
       reply.type = MsgType::kPong;
-      shard.loop->send(conn, reply);
+      shard.loop->reply(client, reply);
       return;
     }
     default: {
@@ -406,7 +410,7 @@ void BackendServer::handle(Shard& shard, ConnId conn, Message&& message) {
       reply.type = MsgType::kError;
       reply.key = message.key;
       reply.payload = "unexpected message type";
-      shard.loop->send(conn, reply);
+      shard.loop->reply(client, reply);
       return;
     }
   }
@@ -429,7 +433,7 @@ void BackendServer::handle_get(Shard& shard, ConnId conn,
     reply.type = MsgType::kRedirect;
     reply.key = message.key;
     reply.node = shard.group[0];
-    shard.loop->send(conn, reply);
+    shard.loop->reply({conn, message.id}, reply);
     obs::record_elapsed(service_us, start_ns, /*divisor=*/1'000);
     return;
   }
@@ -455,7 +459,7 @@ void BackendServer::handle_get(Shard& shard, ConnId conn,
     misses_.fetch_add(1, std::memory_order_relaxed);
     reply.type = MsgType::kMiss;
   }
-  shard.loop->send(conn, reply);
+  shard.loop->reply({conn, message.id}, reply);
   obs::record_elapsed(service_us, start_ns, /*divisor=*/1'000);
 }
 
@@ -521,7 +525,7 @@ void BackendServer::handle_batch_get(Shard& shard, ConnId conn,
   hits_.fetch_add(hit, std::memory_order_relaxed);
   misses_.fetch_add(missed, std::memory_order_relaxed);
 
-  shard.loop->send(conn, reply);
+  shard.loop->reply({conn, message.id}, reply);
   obs::record_elapsed(service_us, start_ns, /*divisor=*/1'000);
 }
 
@@ -548,7 +552,7 @@ void BackendServer::handle_write(Shard& shard, ConnId conn,
     reply.type = MsgType::kRedirect;
     reply.key = message.key;
     reply.node = shard.group[0];
-    shard.loop->send(conn, reply);
+    shard.loop->reply({conn, message.id}, reply);
     return;
   }
 
@@ -577,15 +581,14 @@ void BackendServer::handle_write(Shard& shard, ConnId conn,
     for (const NodeId node : shard.group) {
       if (node == config_.node_id) continue;
       if (!membership_.alive(node)) continue;
-      if (send_to_peer(shard, node, replicate, Expect::kRepAck, op_id,
-                       /*queue_if_down=*/false)) {
+      if (shard.peers->send(node, replicate, {op_id, Expect::kRepAck})) {
         ++outstanding;
       }
     }
   }
 
   Op op;
-  op.client = conn;
+  op.client = {conn, message.id};
   op.kind = message.type;
   op.key = message.key;
   op.version = version;
@@ -595,16 +598,15 @@ void BackendServer::handle_write(Shard& shard, ConnId conn,
 
   switch (op.write->state()) {
     case replication::QuorumState::kDone:
-      resolve_write(shard, op_id, op);
+      resolve_write(shard, op);
       return;
     case replication::QuorumState::kFailed:
       fail_op(shard, op, "write quorum unavailable");
       return;
     case replication::QuorumState::kPending:
-      op.deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(config_.op_timeout_s));
+      // Settled by its peers' replies, or by their loss: a connection that
+      // closes or stays silent past op_timeout_s reports every reply on it
+      // lost.
       shard.ops.emplace(op_id, std::move(op));
       return;
   }
@@ -631,7 +633,7 @@ void BackendServer::handle_quorum_get(Shard& shard, ConnId conn,
     reply.key = message.key;
     reply.node = shard.group[0];
     redirects_.fetch_add(1, std::memory_order_relaxed);
-    shard.loop->send(conn, reply);
+    shard.loop->reply({conn, message.id}, reply);
     return;
   }
 
@@ -644,15 +646,14 @@ void BackendServer::handle_quorum_get(Shard& shard, ConnId conn,
     for (const NodeId node : shard.group) {
       if (node == config_.node_id) continue;
       if (!membership_.alive(node)) continue;
-      if (send_to_peer(shard, node, probe, Expect::kVerValue, op_id,
-                       /*queue_if_down=*/false)) {
+      if (shard.peers->send(node, probe, {op_id, Expect::kVerValue})) {
         ++outstanding;
       }
     }
   }
 
   Op op;
-  op.client = conn;
+  op.client = {conn, message.id};
   op.kind = MsgType::kQuorumGet;
   op.key = message.key;
   op.start_ns = start_ns;
@@ -672,16 +673,15 @@ void BackendServer::handle_quorum_get(Shard& shard, ConnId conn,
 
   switch (op.read->state()) {
     case replication::QuorumState::kDone:
-      resolve_read(shard, op_id, op);
+      resolve_read(shard, op);
       return;
     case replication::QuorumState::kFailed:
       fail_op(shard, op, "read quorum unavailable");
       return;
     case replication::QuorumState::kPending:
-      op.deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(config_.op_timeout_s));
+      // Settled by its peers' replies, or by their loss: a connection that
+      // closes or stays silent past op_timeout_s reports every reply on it
+      // lost.
       shard.ops.emplace(op_id, std::move(op));
       return;
   }
@@ -706,7 +706,7 @@ void BackendServer::handle_replicate(Shard& shard, ConnId conn,
   reply.key = message.key;
   reply.version = message.version;
   reply.flags = applied ? kFlagApplied : 0;
-  shard.loop->send(conn, reply);
+  shard.loop->reply({conn, message.id}, reply);
 }
 
 void BackendServer::handle_ver_read(Shard& shard, ConnId conn,
@@ -724,52 +724,22 @@ void BackendServer::handle_ver_read(Shard& shard, ConnId conn,
       reply.payload = std::move(entry->value);
     }
   }
-  shard.loop->send(conn, reply);
-}
-
-bool BackendServer::send_to_peer(Shard& shard, std::uint32_t node,
-                                 const Message& message, Expect expect,
-                                 std::uint64_t op, bool queue_if_down) {
-  if (node >= shard.peers.size()) return false;
-  PeerState& peer = shard.peers[node];
-  if (peer.left || peer.address.empty()) return false;
-  if (peer.up) {
-    if (!shard.loop->send(peer.conn, message)) return false;
-    peer.expected.push_back({op, expect, message.key});
-    return true;
-  }
-  if (queue_if_down && peer.queued.size() < kMaxQueuedPerPeer) {
-    peer.queued.push_back(message);
-    return true;
-  }
-  return false;
+  shard.loop->reply({conn, message.id}, reply);
 }
 
 void BackendServer::handle_peer_reply(Shard& shard, std::uint32_t node,
-                                      Message&& message) {
-  PeerState& peer = shard.peers[node];
-  if (peer.expected.empty()) {
-    SCP_LOG_WARN << "scp_backend: unsolicited reply from peer " << node
-                 << "; resetting connection";
-    shard.loop->close_connection(peer.conn);
+                                      PeerCall call, Message&& message) {
+  // The id already tied this reply to `call`; a reply of the wrong kind
+  // (including kError) counts as that replica's answer being lost.
+  const MsgType want = call.kind == Expect::kPong       ? MsgType::kPong
+                       : call.kind == Expect::kVerValue ? MsgType::kVerValue
+                                                        : MsgType::kRepAck;
+  if (message.type != want) {
+    apply_peer_loss(shard, call);
     return;
   }
-  ExpectedReply expected = peer.expected.front();
-  peer.expected.pop_front();
-
-  const auto protocol_error = [&] {
-    SCP_LOG_WARN << "scp_backend: reply mismatch from peer " << node
-                 << "; resetting connection";
-    apply_peer_loss(shard, expected);
-    shard.loop->close_connection(peer.conn);
-  };
-
-  switch (expected.kind) {
-    case Expect::kPong: {
-      if (message.type != MsgType::kPong) {
-        protocol_error();
-        return;
-      }
+  switch (call.kind) {
+    case Expect::kPong:
       if (shard.index == 0 && detector_running_.load()) {
         if (detector_.record_pong(node, now_s()) ==
             replication::PingFailureDetector::Transition::kRecovered) {
@@ -777,33 +747,18 @@ void BackendServer::handle_peer_reply(Shard& shard, std::uint32_t node,
         }
       }
       return;
-    }
-    case Expect::kRepairAck: {
-      if (message.type == MsgType::kError) return;  // healed later by repair
-      if (message.type != MsgType::kRepAck || message.key != expected.key) {
-        protocol_error();
-        return;
-      }
+    case Expect::kRepairAck:
       clock_.observe(message.version);
       return;
-    }
     case Expect::kRepAck: {
-      if (message.type == MsgType::kError) {
-        apply_peer_loss(shard, expected);
-        return;
-      }
-      if (message.type != MsgType::kRepAck || message.key != expected.key) {
-        protocol_error();
-        return;
-      }
       clock_.observe(message.version);
-      auto it = shard.ops.find(expected.op);
-      if (it == shard.ops.end()) return;  // already resolved or swept
+      auto it = shard.ops.find(call.op);
+      if (it == shard.ops.end()) return;  // already resolved
       Op& op = it->second;
       if (!op.write.has_value()) return;
       switch (op.write->on_ack()) {
         case replication::QuorumState::kDone:
-          resolve_write(shard, it->first, op);
+          resolve_write(shard, op);
           shard.ops.erase(it);
           return;
         case replication::QuorumState::kFailed:
@@ -816,16 +771,8 @@ void BackendServer::handle_peer_reply(Shard& shard, std::uint32_t node,
       return;
     }
     case Expect::kVerValue: {
-      if (message.type == MsgType::kError) {
-        apply_peer_loss(shard, expected);
-        return;
-      }
-      if (message.type != MsgType::kVerValue || message.key != expected.key) {
-        protocol_error();
-        return;
-      }
       clock_.observe(message.version);
-      auto it = shard.ops.find(expected.op);
+      auto it = shard.ops.find(call.op);
       if (it == shard.ops.end()) return;
       Op& op = it->second;
       if (!op.read.has_value()) return;
@@ -837,7 +784,7 @@ void BackendServer::handle_peer_reply(Shard& shard, std::uint32_t node,
       response.value = std::move(message.payload);
       switch (op.read->on_response(std::move(response))) {
         case replication::QuorumState::kDone:
-          resolve_read(shard, it->first, op);
+          resolve_read(shard, op);
           shard.ops.erase(it);
           return;
         case replication::QuorumState::kFailed:
@@ -852,10 +799,9 @@ void BackendServer::handle_peer_reply(Shard& shard, std::uint32_t node,
   }
 }
 
-void BackendServer::apply_peer_loss(Shard& shard,
-                                    const ExpectedReply& expected) {
-  if (expected.op == 0) return;
-  auto it = shard.ops.find(expected.op);
+void BackendServer::apply_peer_loss(Shard& shard, const PeerCall& call) {
+  if (call.op == 0) return;
+  auto it = shard.ops.find(call.op);
   if (it == shard.ops.end()) return;
   Op& op = it->second;
   const replication::QuorumState state =
@@ -863,9 +809,9 @@ void BackendServer::apply_peer_loss(Shard& shard,
   switch (state) {
     case replication::QuorumState::kDone:
       if (op.write.has_value()) {
-        resolve_write(shard, it->first, op);
+        resolve_write(shard, op);
       } else {
-        resolve_read(shard, it->first, op);
+        resolve_read(shard, op);
       }
       shard.ops.erase(it);
       return;
@@ -880,20 +826,18 @@ void BackendServer::apply_peer_loss(Shard& shard,
   }
 }
 
-void BackendServer::resolve_write(Shard& shard, std::uint64_t /*op_id*/,
-                                  Op& op) {
+void BackendServer::resolve_write(Shard& shard, Op& op) {
   Message reply;
   reply.type = MsgType::kWriteReply;
   reply.key = op.key;
   reply.version = op.version;
-  shard.loop->send(op.client, reply);
+  shard.loop->reply(op.client, reply);
   obs::Timer* write_us =
       shard.index < write_us_.size() ? write_us_[shard.index] : nullptr;
   obs::record_elapsed(write_us, op.start_ns, /*divisor=*/1'000);
 }
 
-void BackendServer::resolve_read(Shard& shard, std::uint64_t /*op_id*/,
-                                 Op& op) {
+void BackendServer::resolve_read(Shard& shard, Op& op) {
   const replication::ReadResponse* winner = op.read->newest();
   Message reply;
   reply.key = op.key;
@@ -903,7 +847,7 @@ void BackendServer::resolve_read(Shard& shard, std::uint64_t /*op_id*/,
   } else {
     reply.type = MsgType::kMiss;
   }
-  shard.loop->send(op.client, reply);
+  shard.loop->reply(op.client, reply);
   obs::Timer* read_us = shard.index < quorum_read_us_.size()
                             ? quorum_read_us_[shard.index]
                             : nullptr;
@@ -928,8 +872,8 @@ void BackendServer::resolve_read(Shard& shard, std::uint64_t /*op_id*/,
         storage_.apply_put(op.key, winner->value, winner->version);
       }
     } else {
-      send_to_peer(shard, node, repair, Expect::kRepairAck, 0,
-                   /*queue_if_down=*/true);
+      shard.peers->send(node, repair, {0, Expect::kRepairAck},
+                        /*defer=*/true);
     }
   }
 }
@@ -940,89 +884,7 @@ void BackendServer::fail_op(Shard& shard, Op& op, const char* reason) {
   reply.type = MsgType::kError;
   reply.key = op.key;
   reply.payload = reason;
-  shard.loop->send(op.client, reply);
-}
-
-void BackendServer::sweep_ops(Shard& shard) {
-  if (stopping_.load()) return;
-  const auto now = std::chrono::steady_clock::now();
-  for (auto it = shard.ops.begin(); it != shard.ops.end();) {
-    if (it->second.deadline <= now) {
-      fail_op(shard, it->second, "quorum op timed out");
-      it = shard.ops.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  Shard* s = &shard;
-  shard.loop->run_after(kSweepIntervalS, [this, s] { sweep_ops(*s); });
-}
-
-void BackendServer::on_conn_close(Shard& shard, ConnId conn) {
-  if (!shard.hot_subs.empty()) {
-    std::erase(shard.hot_subs, conn);
-  }
-  auto it = shard.peer_by_conn.find(conn);
-  if (it == shard.peer_by_conn.end()) {
-    return;  // client hung up; their pending replies fail at send()
-  }
-  const std::uint32_t node = it->second;
-  shard.peer_by_conn.erase(it);
-  PeerState& peer = shard.peers[node];
-  if (peer.up) {
-    peer.up = false;
-    shard.peers_up.fetch_sub(1, std::memory_order_relaxed);
-  }
-  peer.conn = kInvalidConn;
-
-  std::deque<ExpectedReply> orphaned;
-  orphaned.swap(peer.expected);
-  for (const ExpectedReply& expected : orphaned) {
-    apply_peer_loss(shard, expected);
-  }
-  if (!peer.left) schedule_reconnect(shard, node);
-}
-
-void BackendServer::on_conn_connect(Shard& shard, ConnId conn, bool ok) {
-  auto it = shard.peer_by_conn.find(conn);
-  if (it == shard.peer_by_conn.end()) return;
-  const std::uint32_t node = it->second;
-  PeerState& peer = shard.peers[node];
-  if (!ok) {
-    shard.peer_by_conn.erase(it);
-    peer.conn = kInvalidConn;
-    if (!peer.left) schedule_reconnect(shard, node);
-    return;
-  }
-  peer.up = true;
-  peer.connect_attempts = 0;
-  shard.peers_up.fetch_add(1, std::memory_order_relaxed);
-  // Flush deferred repair/handoff frames in order.
-  std::vector<Message> queued;
-  queued.swap(peer.queued);
-  for (const Message& message : queued) {
-    if (!shard.loop->send(peer.conn, message)) break;
-    peer.expected.push_back({0, Expect::kRepairAck, message.key});
-  }
-}
-
-void BackendServer::schedule_reconnect(Shard& shard, std::uint32_t node) {
-  if (stopping_.load()) return;
-  PeerState& peer = shard.peers[node];
-  const double delay =
-      std::min(kReconnectBaseS * static_cast<double>(
-                                     1u << std::min(peer.connect_attempts, 10u)),
-               kReconnectCapS);
-  peer.connect_attempts++;
-  Shard* s = &shard;
-  shard.loop->run_after(delay, [this, s, node] {
-    if (stopping_.load()) return;
-    if (node >= s->peers.size()) return;
-    PeerState& target = s->peers[node];
-    if (target.left || target.conn != kInvalidConn) return;
-    target.conn = s->loop->connect(target.address, target.port);
-    s->peer_by_conn[target.conn] = node;
-  });
+  shard.loop->reply(op.client, reply);
 }
 
 void BackendServer::detector_tick() {
@@ -1044,7 +906,7 @@ void BackendServer::detector_tick() {
   Message ping;
   ping.type = MsgType::kPing;
   for (const NodeId node : to_ping) {
-    send_to_peer(shard, node, ping, Expect::kPong, 0, /*queue_if_down=*/false);
+    shard.peers->send(node, ping, {0, Expect::kPong});
   }
   shard.loop->run_after(config_.fd_interval_s, [this] { detector_tick(); });
 }
@@ -1066,14 +928,11 @@ void BackendServer::hot_tick() {
     Message message;
     message.type = MsgType::kHotKeyReport;
     message.hot = std::move(report);
-    // Gossip to alive mesh peers. One-way: no expected-reply registration,
-    // so the frame rides the FIFO reply-matched connection without ever
-    // entering its match queue.
-    for (std::uint32_t node = 0; node < shard.peers.size(); ++node) {
-      const PeerState& peer = shard.peers[node];
-      if (!peer.up || peer.left) continue;
+    // Gossip to alive mesh peers. One-way and untagged: the peer owes no
+    // reply, so nothing enters the request table.
+    for (std::uint32_t node = 0; node < shard.peers->peer_count(); ++node) {
       if (!membership_.alive(node)) continue;
-      if (shard.loop->send(peer.conn, message)) {
+      if (shard.peers->send_untracked(node, message)) {
         hot_reports_sent_.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -1142,8 +1001,8 @@ void BackendServer::stream_handoff(
     replicate.version = entry->version;
     replicate.flags = entry->tombstone ? kFlagTombstone : 0;
     if (!entry->tombstone) replicate.payload = std::move(entry->value);
-    send_to_peer(shard, item.target, replicate, Expect::kRepairAck, 0,
-                 /*queue_if_down=*/true);
+    shard.peers->send(item.target, replicate, {0, Expect::kRepairAck},
+                      /*defer=*/true);
   }
   rebalanced_keys_.fetch_add(plan.size(), std::memory_order_relaxed);
 }
@@ -1156,7 +1015,7 @@ void BackendServer::handle_join(Shard& shard, ConnId conn,
     Message reply;
     reply.type = MsgType::kError;
     reply.payload = "join: bad endpoint (want host:port)";
-    shard.loop->send(conn, reply);
+    shard.loop->reply({conn, message.id}, reply);
     return;
   }
   const NodeId node = message.node;
@@ -1169,7 +1028,7 @@ void BackendServer::handle_join(Shard& shard, ConnId conn,
       Message reply;
       reply.type = MsgType::kError;
       reply.payload = "join: requires the ring partitioner";
-      shard.loop->send(conn, reply);
+      shard.loop->reply({conn, message.id}, reply);
       return;
     }
     if (!ring->contains_node(node)) {
@@ -1181,21 +1040,7 @@ void BackendServer::handle_join(Shard& shard, ConnId conn,
   membership_.add_node(node);
   for (auto& other : shards_) {
     Shard* s = other.get();
-    auto wire = [this, s, node, host, port] {
-      if (s->peers.size() <= node) s->peers.resize(node + 1);
-      PeerState& peer = s->peers[node];
-      peer.left = false;
-      if (peer.conn != kInvalidConn && peer.address == host &&
-          peer.port == port) {
-        return;
-      }
-      peer.address = host;
-      peer.port = port;
-      if (peer.conn == kInvalidConn) {
-        peer.conn = s->loop->connect(peer.address, peer.port);
-        s->peer_by_conn[peer.conn] = node;
-      }
-    };
+    auto wire = [s, node, host, port] { s->peers->set_peer(node, host, port); };
     if (s == &shard) {
       wire();
     } else {
@@ -1223,7 +1068,7 @@ void BackendServer::handle_join(Shard& shard, ConnId conn,
   Message reply;
   reply.type = MsgType::kWriteReply;
   reply.version = membership_.epoch();
-  shard.loop->send(conn, reply);
+  shard.loop->reply({conn, message.id}, reply);
 }
 
 void BackendServer::handle_leave(Shard& shard, ConnId conn,
@@ -1238,7 +1083,7 @@ void BackendServer::handle_leave(Shard& shard, ConnId conn,
       Message reply;
       reply.type = MsgType::kError;
       reply.payload = "leave: requires the ring partitioner";
-      shard.loop->send(conn, reply);
+      shard.loop->reply({conn, message.id}, reply);
       return;
     }
     if (ring->contains_node(node)) {
@@ -1247,7 +1092,7 @@ void BackendServer::handle_leave(Shard& shard, ConnId conn,
         Message reply;
         reply.type = MsgType::kError;
         reply.payload = "leave: too few nodes left for the replication factor";
-        shard.loop->send(conn, reply);
+        shard.loop->reply({conn, message.id}, reply);
         return;
       }
       old_ring = std::make_shared<ConsistentHashRing>(*ring);
@@ -1258,14 +1103,7 @@ void BackendServer::handle_leave(Shard& shard, ConnId conn,
   membership_.remove_node(node);
   for (auto& other : shards_) {
     Shard* s = other.get();
-    auto unwire = [this, s, node] {
-      if (node >= s->peers.size()) return;
-      PeerState& peer = s->peers[node];
-      peer.left = true;
-      if (peer.conn != kInvalidConn) {
-        s->loop->close_connection(peer.conn);  // on_close drops its queue
-      }
-    };
+    auto unwire = [s, node] { s->peers->remove_peer(node); };
     if (s == &shard) {
       unwire();
     } else {
@@ -1290,7 +1128,7 @@ void BackendServer::handle_leave(Shard& shard, ConnId conn,
   Message reply;
   reply.type = MsgType::kWriteReply;
   reply.version = membership_.epoch();
-  shard.loop->send(conn, reply);
+  shard.loop->reply({conn, message.id}, reply);
 }
 
 }  // namespace scp::net

@@ -25,15 +25,17 @@
 // key (first alive old holder) and streams handoff as idempotent
 // kReplicate applies — old holders keep serving while keys move.
 //
-// Reply matching on peer connections is FIFO (peers answer in order); every
-// expected reply carries the key for cross-checking, and a mismatch drops
-// the connection like the front end does.
+// The peer mesh runs on one Upstream per shard (net/upstream.h): every
+// kReplicate / kVerRead / kPing carries a request id the peer echoes, so a
+// peer reply is matched to its quorum op by id, and a peer that stops
+// answering for op_timeout_s is reset, counting its outstanding replies as
+// lost. Replies to clients echo the client's request id, including quorum
+// replies sent after the peers answer.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -49,6 +51,7 @@
 #include "detect/hot_key.h"
 #include "kvstore/storage_engine.h"
 #include "net/reactor_pool.h"
+#include "net/upstream.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "replication/failure_detector.h"
@@ -98,7 +101,9 @@ struct BackendConfig {
   double fd_interval_s = 0.1;
   double fd_suspect_s = 0.25;
   double fd_timeout_s = 0.5;
-  /// Deadline for an in-flight quorum op; a sweep fails it with kError.
+  /// Deadline for a peer's reply to a quorum op's fan-out; a peer silent
+  /// that long is reset and its replies count as lost, which resolves or
+  /// fails the op.
   double op_timeout_s = 1.0;
 
   /// Hot-key detection (src/detect): maintain a SpaceSaving sketch over the
@@ -173,7 +178,7 @@ class BackendServer {
  private:
   static constexpr std::uint32_t kNoNode = UINT32_MAX;
 
-  /// Reply kinds owed on a peer connection, FIFO per connection.
+  /// What a peer request is for; its reply (or loss) is routed by this.
   enum class Expect : std::uint8_t {
     kRepAck,    ///< kReplicate sent for a client write (op != 0)
     kVerValue,  ///< kVerRead sent for a quorum read (op != 0)
@@ -181,49 +186,35 @@ class BackendServer {
     kPong,      ///< failure-detector ping
   };
 
-  struct ExpectedReply {
+  /// The pending payload of one peer request in the shard's Upstream.
+  struct PeerCall {
     std::uint64_t op = 0;  ///< ops entry, 0 = none
     Expect kind = Expect::kRepairAck;
-    std::uint64_t key = 0;
   };
 
   /// An in-flight coordinated operation (write or quorum read).
   struct Op {
-    ConnId client = kInvalidConn;
+    Caller client;
     MsgType kind = MsgType::kPut;  ///< kPut, kDelete or kQuorumGet
     std::uint64_t key = 0;
     std::uint64_t version = 0;  ///< writes: the minted version
     std::optional<replication::WriteQuorum> write;
     std::optional<replication::ReadQuorum> read;
     std::uint64_t start_ns = 0;
-    std::chrono::steady_clock::time_point deadline;
-  };
-
-  struct PeerState {
-    std::string address;
-    std::uint16_t port = 0;
-    ConnId conn = kInvalidConn;
-    bool up = false;
-    bool left = false;  ///< administratively removed; never redialed
-    std::uint32_t connect_attempts = 0;
-    std::deque<ExpectedReply> expected;  ///< FIFO on this connection
-    /// Repair/handoff frames deferred until the connection establishes
-    /// (a just-joined node is dialed asynchronously). Bounded.
-    std::vector<Message> queued;
   };
 
   /// Per-reactor mutable state, touched only by that shard's loop thread.
   struct Shard {
     std::size_t index = 0;
     Reactor* loop = nullptr;
-    std::vector<PeerState> peers;  ///< index = NodeId
-    std::unordered_map<ConnId, std::uint32_t> peer_by_conn;
+    /// Mesh connections, peer index = NodeId. Repair/handoff frames to a
+    /// peer still connecting (a just-joined node) wait there, bounded.
+    std::optional<Upstream<PeerCall>> peers;
     std::unordered_map<std::uint64_t, Op> ops;
     std::uint64_t next_op = 1;
     std::vector<NodeId> group;  ///< replica-group scratch
     /// Connections that asked for kHotKeyReport pushes (front ends).
     std::vector<ConnId> hot_subs;
-    std::atomic<std::uint32_t> peers_up{0};
   };
 
   void preload();
@@ -232,10 +223,9 @@ class BackendServer {
   bool in_group(const std::vector<NodeId>& group) const noexcept;
 
   void handle(Shard& shard, ConnId conn, Message&& message);
-  void handle_peer_reply(Shard& shard, std::uint32_t node, Message&& message);
-  void on_conn_close(Shard& shard, ConnId conn);
-  void on_conn_connect(Shard& shard, ConnId conn, bool ok);
-  void schedule_reconnect(Shard& shard, std::uint32_t node);
+  /// A peer's reply, matched to `call` by request id.
+  void handle_peer_reply(Shard& shard, std::uint32_t node, PeerCall call,
+                         Message&& message);
 
   void handle_get(Shard& shard, ConnId conn, const Message& message);
   /// Serves a whole kBatchGet in one pass — one partitioner lock, one
@@ -249,20 +239,13 @@ class BackendServer {
   void handle_join(Shard& shard, ConnId conn, const Message& message);
   void handle_leave(Shard& shard, ConnId conn, const Message& message);
 
-  /// Sends on the shard's mesh connection to `node`, registering the owed
-  /// reply. With `queue_if_down` an unconnected (but not left) peer defers
-  /// the frame until the connection establishes. False = peer unreachable.
-  bool send_to_peer(Shard& shard, std::uint32_t node, const Message& message,
-                    Expect expect, std::uint64_t op, bool queue_if_down);
-
   /// Counts a lost in-flight reply (closed connection, kError) against the
   /// op's quorum, resolving or failing it when that tips the balance.
-  void apply_peer_loss(Shard& shard, const ExpectedReply& expected);
+  void apply_peer_loss(Shard& shard, const PeerCall& call);
 
-  void resolve_write(Shard& shard, std::uint64_t op_id, Op& op);
-  void resolve_read(Shard& shard, std::uint64_t op_id, Op& op);
+  void resolve_write(Shard& shard, Op& op);
+  void resolve_read(Shard& shard, Op& op);
   void fail_op(Shard& shard, Op& op, const char* reason);
-  void sweep_ops(Shard& shard);
 
   /// Streams handoff for a ring change this node is the elected streamer
   /// of. `old_group_of` must reflect the ring before the change.

@@ -10,16 +10,6 @@
 #include "net/fleet.h"
 
 namespace scp::net {
-namespace {
-
-/// Timeout sweep cadence. Coarse on purpose: a request deadline is enforced
-/// within one sweep period, which is plenty for RetryPolicy's default 500 ms
-/// budget.
-constexpr double kSweepIntervalS = 0.020;
-constexpr double kReconnectBaseS = 0.050;
-constexpr double kReconnectCapS = 1.0;
-
-}  // namespace
 
 FrontendServer::FrontendServer(FrontendConfig config)
     : config_(std::move(config)),
@@ -106,32 +96,62 @@ bool FrontendServer::start() {
               .drop_ratio = 0.5,
               .min_samples = config_.detect_min_samples});
     }
-    shard->backends.resize(config_.nodes);
     shard->loads.assign(config_.nodes, 0.0);
     shard->group.resize(config_.replication);
     shard->candidates.resize(config_.replication);
-    for (std::uint32_t node = 0; node < config_.nodes; ++node) {
-      shard->backends[node].address = config_.backends[node].first;
-      shard->backends[node].port = config_.backends[node].second;
-    }
 
     Shard* s = shard.get();
+    // batch_max <= 1 never queues: every forward is its own kGet frame.
+    s->upstream.emplace(
+        *s->loop,
+        UpstreamPeers::Options{.name = "scp_frontend",
+                               .timeout_s = config_.retry.timeout_s,
+                               .batch_max = config_.batch_max},
+        Upstream<PendingRequest>::Callbacks{
+            .on_reply =
+                [this, s](std::uint32_t node, PendingRequest&& request,
+                          Message&& reply) {
+                  settle_forward(*s, node, std::move(request),
+                                 std::move(reply));
+                },
+            .on_lost =
+                [this, s](std::uint32_t, PendingRequest&& request,
+                          UpstreamLoss loss) {
+                  on_forward_lost(*s, std::move(request), loss);
+                },
+            .on_sent =
+                [this, s](std::uint32_t node, PendingRequest& request,
+                          std::uint64_t sent_ns) {
+                  on_forward_sent(*s, node, request, sent_ns);
+                },
+            .on_state =
+                [this, s](std::uint32_t node, bool up) {
+                  if (!up || !config_.detect) return;
+                  // Ask for kHotKeyReport pushes (untagged, unacked).
+                  Message subscribe;
+                  subscribe.type = MsgType::kHotKeySubscribe;
+                  s->upstream->send_untracked(node, subscribe);
+                },
+            .on_unsolicited =
+                [this, s](std::uint32_t, Message&& message) {
+                  // Untagged frames from a backend owe nothing to any
+                  // request; only the hot-key push carries information.
+                  if (message.type == MsgType::kHotKeyReport) {
+                    handle_hot_report(*s, std::move(message));
+                  }
+                }});
     Reactor::Callbacks callbacks;
     callbacks.on_message = [this, s](ConnId conn, Message&& message) {
-      handle(*s, conn, std::move(message));
+      if (!s->upstream->on_message(conn, std::move(message))) {
+        handle_client(*s, conn, std::move(message));
+      }
     };
-    callbacks.on_close = [this, s](ConnId conn) { on_conn_close(*s, conn); };
-    callbacks.on_connect = [this, s](ConnId conn, bool ok) {
-      on_conn_connect(*s, conn, ok);
+    // A client hanging up needs nothing: its pending replies fail at send.
+    callbacks.on_close = [s](ConnId conn) { s->upstream->on_close(conn); };
+    callbacks.on_connect = [s](ConnId conn, bool ok) {
+      s->upstream->on_connect(conn, ok);
     };
     s->loop->set_callbacks(std::move(callbacks));
-    if (config_.batch_max > 1) {
-      // Flush every backend's queued GET forwards right before the reactor's
-      // gathered write, so batch frames ride the same sendmsg as the
-      // wakeup's replies. batch_max <= 1 never queues, so no hook: the
-      // unbatched serving path stays byte-identical to PR 9.
-      s->loop->set_before_flush([this, s] { flush_forward_queues(*s); });
-    }
 
     if (config_.metrics) {
       s->cache_lookup_ns = &s->registry.timer("frontend.cache_lookup_ns");
@@ -171,12 +191,10 @@ bool FrontendServer::start() {
   // cross shard boundaries.
   for (auto& shard : shards_) {
     for (std::uint32_t node = 0; node < config_.nodes; ++node) {
-      BackendState& backend = shard->backends[node];
-      backend.conn = shard->loop->connect(backend.address, backend.port);
-      shard->backend_by_conn[backend.conn] = node;
+      shard->upstream->set_peer(node, config_.backends[node].first,
+                                config_.backends[node].second);
     }
-    Shard* s = shard.get();
-    s->loop->run_after(kSweepIntervalS, [this, s] { sweep_timeouts(*s); });
+    shard->upstream->start();
   }
 
   if (!pool_.start()) return false;
@@ -195,6 +213,7 @@ bool FrontendServer::start() {
 
 void FrontendServer::stop(double drain_s) {
   stopping_.store(true);
+  for (auto& shard : shards_) shard->upstream->stop();
   // Let in-flight forwards complete before tearing the loops down.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration_cast<
@@ -219,9 +238,7 @@ bool FrontendServer::wait_backends_up(double timeout_s) const {
                             std::chrono::duration<double>(timeout_s));
   while (true) {
     std::uint64_t up = 0;
-    for (const auto& shard : shards_) {
-      up += shard->backends_up.load(std::memory_order_relaxed);
-    }
+    for (const auto& shard : shards_) up += shard->upstream->up_count();
     if (up >= want) return true;
     if (std::chrono::steady_clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -267,10 +284,9 @@ obs::MetricsSnapshot FrontendServer::metrics_snapshot() const {
         shard->forwarded.load(std::memory_order_relaxed);
     snap.counters["frontend.coalesced"] =
         shard->coalesced.load(std::memory_order_relaxed);
-    snap.counters["frontend.batch_frames"] =
-        shard->batch_frames.load(std::memory_order_relaxed);
-    snap.counters["frontend.batch_keys"] =
-        shard->batch_keys.load(std::memory_order_relaxed);
+    const auto [batch_frames, batch_keys] = shard->upstream->batch_totals();
+    snap.counters["frontend.batch_frames"] = batch_frames;
+    snap.counters["frontend.batch_keys"] = batch_keys;
     snap.counters["frontend.retries"] =
         shard->retries.load(std::memory_order_relaxed);
     snap.counters["frontend.failures"] =
@@ -293,8 +309,8 @@ obs::MetricsSnapshot FrontendServer::metrics_snapshot() const {
       snap.counters["detect.reprovisioned"] =
           shard->hot_reprovisioned.load(std::memory_order_relaxed);
     }
-    snap.gauges["frontend.backends_up"] = static_cast<std::int64_t>(
-        shard->backends_up.load(std::memory_order_relaxed));
+    snap.gauges["frontend.backends_up"] =
+        static_cast<std::int64_t>(shard->upstream->up_count());
     const ReactorCounters& loop = shard->loop->counters();
     snap.counters["loop.syscalls"] =
         loop.syscalls.load(std::memory_order_relaxed);
@@ -325,70 +341,65 @@ std::uint16_t FrontendServer::metrics_http_port() const noexcept {
   return metrics_http_ != nullptr ? metrics_http_->port() : 0;
 }
 
-void FrontendServer::handle(Shard& shard, ConnId conn, Message&& message) {
-  auto it = shard.backend_by_conn.find(conn);
-  if (it != shard.backend_by_conn.end()) {
-    handle_backend(shard, it->second, std::move(message));
-  } else {
-    handle_client(shard, conn, std::move(message));
-  }
-}
-
 void FrontendServer::handle_client(Shard& shard, ConnId conn,
                                    Message&& message) {
+  const Caller client{conn, message.id};
   switch (message.type) {
     case MsgType::kGet: {
       const std::uint64_t start_ns =
           shard.request_us != nullptr ? obs::now_ns() : 0;
-      serve_get(shard, conn, message.key, start_ns);
+      serve_get(shard, client, message.key, start_ns);
       return;
     }
     case MsgType::kBatchGet: {
       // Router-batched dispatch: serve every key in the frame. Replies go
-      // back as one frame *per key* — the edge router matches them by key
-      // (its replies can overtake each other), and the reactor's gathered
-      // flush amortizes them into one writev anyway.
-      for (const std::uint64_t key : message.batch_keys) {
+      // back as one frame *per key*, key i tagged base+i — the edge router
+      // matches them by id (its replies can overtake each other), and the
+      // reactor's gathered flush amortizes them into one writev anyway.
+      for (std::size_t i = 0; i < message.batch_keys.size(); ++i) {
         const std::uint64_t start_ns =
             shard.request_us != nullptr ? obs::now_ns() : 0;
-        serve_get(shard, conn, key, start_ns);
+        const Caller item{conn, message.id == 0 ? 0 : message.id + i};
+        serve_get(shard, item, message.batch_keys[i], start_ns);
       }
       return;
     }
     case MsgType::kPut:
     case MsgType::kDelete:
-      handle_write(shard, conn, std::move(message));
+      handle_write(shard, client, std::move(message));
       return;
     case MsgType::kQuorumGet: {
       // Consistency path: relayed to a backend coordinator verbatim, never
       // answered from (or admitted into) the FE cache — the client asked
       // for an R-replica quorum answer, not a cached one.
-      const std::uint64_t start_ns =
-          shard.request_us != nullptr ? obs::now_ns() : 0;
       shard.requests.fetch_add(1, std::memory_order_relaxed);
       shard.misses.fetch_add(1, std::memory_order_relaxed);
-      forward(shard, conn, message.key, /*attempts=*/0, start_ns,
-              MsgType::kQuorumGet);
+      begin_forward(shard,
+                    {.client = client,
+                     .key = message.key,
+                     .op = MsgType::kQuorumGet,
+                     .start_ns = shard.request_us != nullptr ? obs::now_ns()
+                                                             : 0});
       return;
     }
     case MsgType::kStats: {
       Message reply;
       reply.type = MsgType::kStatsReply;
       reply.stats = stats();  // aggregated over shards
-      shard.loop->send(conn, reply);
+      shard.loop->reply(client, reply);
       return;
     }
     case MsgType::kMetricsRequest: {
       Message reply;
       reply.type = MsgType::kMetricsReply;
       reply.metrics = metrics_snapshot();
-      shard.loop->send(conn, reply);
+      shard.loop->reply(client, reply);
       return;
     }
     case MsgType::kPing: {
       Message reply;
       reply.type = MsgType::kPong;
-      shard.loop->send(conn, reply);
+      shard.loop->reply(client, reply);
       return;
     }
     default: {
@@ -396,14 +407,14 @@ void FrontendServer::handle_client(Shard& shard, ConnId conn,
       reply.type = MsgType::kError;
       reply.key = message.key;
       reply.payload = "unexpected message type";
-      shard.loop->send(conn, reply);
+      shard.loop->reply(client, reply);
       return;
     }
   }
 }
 
-void FrontendServer::serve_get(Shard& shard, ConnId conn, std::uint64_t key,
-                               std::uint64_t start_ns) {
+void FrontendServer::serve_get(Shard& shard, const Caller& client,
+                               std::uint64_t key, std::uint64_t start_ns) {
   shard.requests.fetch_add(1, std::memory_order_relaxed);
   if (config_.fleet_size > 1 && !fleet_owns(key)) {
     if (fleet_redirect_needed(key)) {
@@ -415,7 +426,7 @@ void FrontendServer::serve_get(Shard& shard, ConnId conn, std::uint64_t key,
       reply.type = MsgType::kRedirect;
       reply.key = key;
       reply.node = fleet_owner(key, config_.fleet_seed, config_.fleet_size);
-      shard.loop->send(conn, reply);
+      shard.loop->reply(client, reply);
       obs::record_elapsed(shard.request_us, start_ns, /*divisor=*/1'000);
       return;
     }
@@ -423,7 +434,7 @@ void FrontendServer::serve_get(Shard& shard, ConnId conn, std::uint64_t key,
     // the forward, and the router's power-of-two-choices sent it here
     // to balance exactly this load. Skip the cache entirely.
     shard.misses.fetch_add(1, std::memory_order_relaxed);
-    forward_get(shard, conn, key, start_ns);
+    forward_get(shard, client, key, start_ns);
     return;
   }
   std::string value;
@@ -435,15 +446,15 @@ void FrontendServer::serve_get(Shard& shard, ConnId conn, std::uint64_t key,
     reply.type = MsgType::kValue;
     reply.key = key;
     reply.payload = std::move(value);
-    shard.loop->send(conn, reply);
+    shard.loop->reply(client, reply);
     obs::record_elapsed(shard.request_us, start_ns, /*divisor=*/1'000);
     return;
   }
   shard.misses.fetch_add(1, std::memory_order_relaxed);
-  forward_get(shard, conn, key, start_ns);
+  forward_get(shard, client, key, start_ns);
 }
 
-void FrontendServer::forward_get(Shard& shard, ConnId client,
+void FrontendServer::forward_get(Shard& shard, const Caller& client,
                                  std::uint64_t key, std::uint64_t start_ns) {
   if (config_.coalesce) {
     auto [it, inserted] = shard.inflight.try_emplace(key);
@@ -456,10 +467,10 @@ void FrontendServer::forward_get(Shard& shard, ConnId client,
     // Lead request: owns the inflight entry until finish_waiters /
     // fail_waiters settles it.
   }
-  forward(shard, client, key, /*attempts=*/0, start_ns);
+  begin_forward(shard, {.client = client, .key = key, .start_ns = start_ns});
 }
 
-void FrontendServer::handle_write(Shard& shard, ConnId conn,
+void FrontendServer::handle_write(Shard& shard, const Caller& client,
                                   Message&& message) {
   const std::uint64_t start_ns =
       shard.request_us != nullptr ? obs::now_ns() : 0;
@@ -479,7 +490,7 @@ void FrontendServer::handle_write(Shard& shard, ConnId conn,
     reply.key = message.key;
     reply.node =
         fleet_owner(message.key, config_.fleet_seed, config_.fleet_size);
-    shard.loop->send(conn, reply);
+    shard.loop->reply(client, reply);
     obs::record_elapsed(shard.request_us, start_ns, /*divisor=*/1'000);
     return;
   }
@@ -487,82 +498,27 @@ void FrontendServer::handle_write(Shard& shard, ConnId conn,
   // Invalidate before the backend sees the write: a stale hit after the
   // coordinator acked would un-do the write for readers landing here.
   invalidate_cached(shard, message.key);
-  forward(shard, conn, message.key, /*attempts=*/0, start_ns, message.type,
-          message.payload);
+  begin_forward(shard, {.client = client,
+                        .key = message.key,
+                        .op = message.type,
+                        .payload = std::move(message.payload),
+                        .start_ns = start_ns});
 }
 
-void FrontendServer::handle_backend(Shard& shard, std::uint32_t node,
-                                    Message&& message) {
-  BackendState& backend = shard.backends[node];
-  if (message.type == MsgType::kHotKeyReport) {
-    // One-way push (we subscribed); owns no pending-queue slot.
-    handle_hot_report(shard, std::move(message));
-    return;
-  }
-  if (message.type == MsgType::kPong || message.type == MsgType::kStatsReply ||
-      message.type == MsgType::kMetricsReply) {
-    return;  // health probes; nothing pending
-  }
-  if (message.type == MsgType::kBatchReply) {
-    handle_batch_reply(shard, node, std::move(message));
-    return;
-  }
-  if (backend.pending.empty() || backend.pending.front().key != message.key) {
-    // FIFO contract broken — drop the connection; on_conn_close requeues.
-    SCP_LOG_WARN << "scp_frontend: reply mismatch from backend " << node
-                 << "; resetting connection";
-    shard.loop->close_connection(backend.conn);
-    return;
-  }
-  PendingRequest request = backend.pending.front();
-  backend.pending.pop_front();
-  pending_total_.fetch_sub(1, std::memory_order_relaxed);
-  settle_forward(shard, node, request, message.type,
-                 std::move(message.payload), message.node, message.version);
-}
-
-void FrontendServer::handle_batch_reply(Shard& shard, std::uint32_t node,
-                                        Message&& reply) {
-  BackendState& backend = shard.backends[node];
-  // The backend answers a kBatchGet's keys in request order, so the reply
-  // must line up with the head of the FIFO entry-for-entry. Cross-check all
-  // keys before settling anything: a half-applied mismatched batch would
-  // answer clients with the wrong keys' verdicts.
-  bool matches = backend.pending.size() >= reply.batch.size();
-  for (std::size_t i = 0; matches && i < reply.batch.size(); ++i) {
-    matches = backend.pending[i].key == reply.batch[i].key &&
-              backend.pending[i].op == MsgType::kGet;
-  }
-  if (!matches || reply.batch.empty()) {
-    SCP_LOG_WARN << "scp_frontend: batch reply mismatch from backend " << node
-                 << "; resetting connection";
-    shard.loop->close_connection(backend.conn);
-    return;
-  }
-  for (BatchItem& item : reply.batch) {
-    PendingRequest request = backend.pending.front();
-    backend.pending.pop_front();
-    pending_total_.fetch_sub(1, std::memory_order_relaxed);
-    settle_forward(shard, node, request, item.type, std::move(item.payload),
-                   item.node, /*version=*/0);
-  }
-}
-
-/// One forwarded request got its backend verdict. Shared by the single-frame
-/// and kBatchReply paths; kGet verdicts fan out to coalesced waiters.
+/// One forwarded request got its backend reply, matched by request id.
+/// Single frames and kBatchReply items arrive here alike; kGet verdicts fan
+/// out to coalesced waiters.
 void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
-                                    const PendingRequest& request,
-                                    MsgType type, std::string&& payload,
-                                    std::uint32_t redirect_node,
-                                    std::uint64_t version) {
-  switch (type) {
+                                    PendingRequest&& request,
+                                    Message&& reply) {
+  switch (reply.type) {
     case MsgType::kValue: {
       if (request.op == MsgType::kGet) {
-        admit(shard, request.key, payload);
+        admit(shard, request.key, reply.payload);
         // A dirty perfect-oracle key becomes cacheable again once the
         // authoritative value matches what the oracle synthesizes.
         if (!shard.dirty.empty() && shard.dirty.count(request.key) != 0 &&
-            payload == make_value(request.key, config_.value_bytes)) {
+            reply.payload == make_value(request.key, config_.value_bytes)) {
           shard.dirty.erase(request.key);
           if (shard.dirty_keys != nullptr) {
             shard.dirty_keys->set(
@@ -571,11 +527,8 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
         }
       }
       complete_request(shard, request, node);
-      Message reply;
-      reply.type = MsgType::kValue;
       reply.key = request.key;
-      reply.payload = std::move(payload);
-      shard.loop->send(request.client, reply);
+      shard.loop->reply(request.client, reply);
       if (request.op == MsgType::kGet) {
         finish_waiters(shard, request.key, MsgType::kValue, reply.payload);
       }
@@ -600,23 +553,24 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
         }
       }
       complete_request(shard, request, node);
-      Message reply;
-      reply.type = MsgType::kMiss;
       reply.key = request.key;
-      shard.loop->send(request.client, reply);
+      shard.loop->reply(request.client, reply);
       if (request.op == MsgType::kGet) {
         finish_waiters(shard, request.key, MsgType::kMiss, std::string());
       }
       return;
     }
     case MsgType::kWriteReply: {
+      // A write ack for a read is a broken backend; failing it also
+      // releases the GET's coalesced waiters.
+      if (request.op == MsgType::kGet) {
+        fail_request(shard, request);
+        return;
+      }
       // Coordinator acked the quorum write; relay version and all.
       complete_request(shard, request, node);
-      Message reply;
-      reply.type = MsgType::kWriteReply;
       reply.key = request.key;
-      reply.version = version;
-      shard.loop->send(request.client, reply);
+      shard.loop->reply(request.client, reply);
       return;
     }
     case MsgType::kRedirect: {
@@ -624,18 +578,17 @@ void FrontendServer::settle_forward(Shard& shard, std::uint32_t node,
       // follow the hint once per attempt budget anyway. The coalescing
       // entry (and its parked waiters) stays put — only the lead moves.
       shard.redirects.fetch_add(1, std::memory_order_relaxed);
-      if (redirect_node < config_.nodes &&
+      if (reply.node < config_.nodes &&
           request.attempts + 1 < config_.retry.max_attempts()) {
-        forward_to(shard, redirect_node, request.client, request.key,
-                   request.attempts + 1, request.start_ns, request.op,
-                   request.payload);
+        ++request.attempts;
+        forward_to(shard, reply.node, std::move(request));
       } else {
-        fail_request(shard, request.client, request.key, request.op);
+        fail_request(shard, request);
       }
       return;
     }
     default:
-      fail_request(shard, request.client, request.key, request.op);
+      fail_request(shard, request);
       return;
   }
 }
@@ -650,7 +603,7 @@ void FrontendServer::finish_waiters(Shard& shard, std::uint64_t key,
   const std::uint64_t now =
       shard.request_us != nullptr && !waiters.empty() ? obs::now_ns() : 0;
   for (const Waiter& waiter : waiters) {
-    if (waiter.client == kInvalidConn) {
+    if (waiter.client.conn == kInvalidConn) {
       // A hot-key warm fetch that coalesced onto this forward: the bytes
       // just got admitted by the lead's settle; nothing to send.
       shard.hot_prefetching.erase(key);
@@ -666,7 +619,7 @@ void FrontendServer::finish_waiters(Shard& shard, std::uint64_t key,
     reply.type = type;
     reply.key = key;
     if (type == MsgType::kValue) reply.payload = payload;
-    shard.loop->send(waiter.client, reply);
+    shard.loop->reply(waiter.client, reply);
     if (now != 0 && waiter.start_ns != 0) {
       shard.request_us->record((now - waiter.start_ns) / 1'000);
     }
@@ -679,7 +632,7 @@ void FrontendServer::fail_waiters(Shard& shard, std::uint64_t key) {
   const std::vector<Waiter> waiters = std::move(it->second);
   shard.inflight.erase(it);
   for (const Waiter& waiter : waiters) {
-    if (waiter.client == kInvalidConn) {
+    if (waiter.client.conn == kInvalidConn) {
       shard.hot_prefetching.erase(key);
       continue;
     }
@@ -690,7 +643,7 @@ void FrontendServer::fail_waiters(Shard& shard, std::uint64_t key) {
     reply.type = MsgType::kError;
     reply.key = key;
     reply.payload = "no live replica";
-    shard.loop->send(waiter.client, reply);
+    shard.loop->reply(waiter.client, reply);
   }
 }
 
@@ -731,14 +684,14 @@ void FrontendServer::handle_hot_report(Shard& shard, Message&& message) {
     }
     // Globally hot at the backends and absent here — the miss-flood
     // signature. Force-admit the slot and warm its bytes with a
-    // self-initiated fetch (client = kInvalidConn; the reply's send to it
-    // is a harmless no-op).
+    // self-initiated fetch (no client conn; the reply's send to it is a
+    // harmless no-op).
     shard.tier->access(key);
     if (!shard.hot_prefetching.insert(key).second) continue;  // in flight
     shard.hot_prefetches.fetch_add(1, std::memory_order_relaxed);
     // Via the single-flight table: if a client's fetch for this key is
     // already in flight, the warm fetch parks on it instead of doubling it.
-    forward_get(shard, kInvalidConn, key, /*start_ns=*/0);
+    forward_get(shard, Caller{}, key, /*start_ns=*/0);
   }
   // Retire flags whose keys cooled off (the aggregator's exit hysteresis).
   for (auto it = shard.hot_flagged.begin(); it != shard.hot_flagged.end();) {
@@ -760,7 +713,8 @@ void FrontendServer::handle_hot_report(Shard& shard, Message&& message) {
 void FrontendServer::complete_request(Shard& shard,
                                       const PendingRequest& request,
                                       std::uint32_t node) {
-  if (request.client == kInvalidConn) {
+  pending_total_.fetch_sub(1, std::memory_order_relaxed);
+  if (request.client.conn == kInvalidConn) {
     // Self-initiated hot-key warm fetch: no client behind it, so it stays
     // out of the request accounting (requests == hits + forwarded +
     // failures must keep holding for real traffic).
@@ -781,78 +735,6 @@ void FrontendServer::complete_request(Shard& shard,
     shard.request_us->record((now - request.start_ns) / 1'000);
   }
   shard.attempts_hist->record(request.attempts + 1);
-}
-
-void FrontendServer::on_conn_close(Shard& shard, ConnId conn) {
-  auto it = shard.backend_by_conn.find(conn);
-  if (it == shard.backend_by_conn.end()) {
-    return;  // client hung up; their pending replies fail at send()
-  }
-  const std::uint32_t node = it->second;
-  shard.backend_by_conn.erase(it);
-  BackendState& backend = shard.backends[node];
-  if (backend.up) {
-    backend.up = false;
-    shard.backends_up.fetch_sub(1, std::memory_order_relaxed);
-  }
-  backend.conn = kInvalidConn;
-
-  std::deque<PendingRequest> orphaned;
-  orphaned.swap(backend.pending);
-  for (const PendingRequest& request : orphaned) {
-    pending_total_.fetch_sub(1, std::memory_order_relaxed);
-    retry_or_fail(shard, request);
-  }
-  // Queued forwards never hit the wire, so they re-route at the same
-  // attempt count instead of burning a retry.
-  std::vector<QueuedForward> queued;
-  queued.swap(backend.queued);
-  for (const QueuedForward& q : queued) {
-    pending_total_.fetch_sub(1, std::memory_order_relaxed);
-    forward(shard, q.client, q.key, q.attempts, q.start_ns);
-  }
-  schedule_reconnect(shard, node);
-}
-
-void FrontendServer::on_conn_connect(Shard& shard, ConnId conn, bool ok) {
-  auto it = shard.backend_by_conn.find(conn);
-  if (it == shard.backend_by_conn.end()) return;
-  const std::uint32_t node = it->second;
-  BackendState& backend = shard.backends[node];
-  if (ok) {
-    backend.up = true;
-    backend.connect_attempts = 0;
-    shard.backends_up.fetch_add(1, std::memory_order_relaxed);
-    if (config_.detect) {
-      // Ask for kHotKeyReport pushes. Deliberately unacked, so this send
-      // leaves the connection's FIFO pending queue untouched.
-      Message subscribe;
-      subscribe.type = MsgType::kHotKeySubscribe;
-      shard.loop->send(backend.conn, subscribe);
-    }
-    return;
-  }
-  shard.backend_by_conn.erase(it);
-  backend.conn = kInvalidConn;
-  schedule_reconnect(shard, node);
-}
-
-void FrontendServer::schedule_reconnect(Shard& shard, std::uint32_t node) {
-  if (stopping_.load()) return;
-  BackendState& backend = shard.backends[node];
-  const double delay =
-      std::min(kReconnectBaseS * static_cast<double>(1u << std::min(
-                                     backend.connect_attempts, 10u)),
-               kReconnectCapS);
-  backend.connect_attempts++;
-  Shard* s = &shard;
-  shard.loop->run_after(delay, [this, s, node] {
-    if (stopping_.load()) return;
-    BackendState& target = s->backends[node];
-    if (target.conn != kInvalidConn) return;  // already reconnecting
-    target.conn = s->loop->connect(target.address, target.port);
-    s->backend_by_conn[target.conn] = node;
-  });
 }
 
 bool FrontendServer::cache_lookup(Shard& shard, std::uint64_t key,
@@ -964,14 +846,14 @@ std::uint32_t FrontendServer::route(Shard& shard, std::uint64_t key) {
   partitioner_->replica_group(key, shard.group);
   shard.candidates.clear();
   for (NodeId node : shard.group) {
-    if (shard.backends[node].up) shard.candidates.push_back(node);
+    if (shard.upstream->up(node)) shard.candidates.push_back(node);
   }
   if (shard.candidates.empty()) return kNoBackend;
 
   const std::string& kind = config_.router;
   if (kind == "pinned") {
     auto it = shard.pins.find(key);
-    if (it != shard.pins.end() && shard.backends[it->second].up) {
+    if (it != shard.pins.end() && shard.upstream->up(it->second)) {
       return it->second;
     }
     const std::size_t pick =
@@ -991,226 +873,106 @@ std::uint32_t FrontendServer::route(Shard& shard, std::uint64_t key) {
   return shard.candidates[turn % shard.candidates.size()];
 }
 
-void FrontendServer::forward(Shard& shard, ConnId client, std::uint64_t key,
-                             std::uint32_t attempts, std::uint64_t start_ns,
-                             MsgType op, const std::string& payload) {
-  const std::uint32_t node = route(shard, key);
+void FrontendServer::begin_forward(Shard& shard, PendingRequest&& request) {
+  pending_total_.fetch_add(1, std::memory_order_relaxed);
+  forward(shard, std::move(request));
+}
+
+void FrontendServer::forward(Shard& shard, PendingRequest&& request) {
+  const std::uint32_t node = route(shard, request.key);
   if (node == kNoBackend) {
     // No live replica right now; treat like a failed attempt and back off.
     // While stopping, fail immediately: the loop's timers never fire again,
     // so a scheduled retry would pin pending_total_ above zero and make
     // stop() burn its whole drain budget.
-    if (attempts + 1 < config_.retry.max_attempts() && !stopping_.load()) {
-      pending_total_.fetch_add(1, std::memory_order_relaxed);
-      Shard* s = &shard;
-      shard.loop->run_after(
-          config_.retry.backoff_s(attempts),
-          [this, s, client, key, attempts, start_ns, op, payload] {
-            pending_total_.fetch_sub(1, std::memory_order_relaxed);
-            forward(*s, client, key, attempts + 1, start_ns, op, payload);
-          });
-    } else {
-      fail_request(shard, client, key, op);
-    }
+    retry_or_fail(shard, std::move(request));
     return;
   }
-  forward_to(shard, node, client, key, attempts, start_ns, op, payload);
+  forward_to(shard, node, std::move(request));
 }
 
 void FrontendServer::forward_to(Shard& shard, std::uint32_t node,
-                                ConnId client, std::uint64_t key,
-                                std::uint32_t attempts,
-                                std::uint64_t start_ns, MsgType op,
-                                const std::string& payload) {
-  BackendState& backend = shard.backends[node];
-  if (!backend.up) {
-    forward(shard, client, key, attempts, start_ns, op, payload);
-    return;
-  }
-  if (op == MsgType::kGet && config_.batch_max > 1) {
-    // Batched forwarding: GETs accumulate here and flush as one kBatchGet
-    // at the reactor's before-flush hook (sooner if the queue fills). The
-    // wire send, FIFO pending entry and attempt counters all happen at
-    // flush so FIFO order matches wire order; pending_total_ is counted
-    // now so stop()'s drain sees queued forwards too.
-    backend.queued.push_back({client, key, attempts, start_ns});
-    pending_total_.fetch_add(1, std::memory_order_relaxed);
-    if (backend.queued.size() >= config_.batch_max) {
-      flush_backend_queue(shard, node);
-    }
-    return;
-  }
-  Message request;
-  request.type = op;
-  request.key = key;
-  if (op == MsgType::kPut) request.payload = payload;
-  if (!shard.loop->send(backend.conn, request)) {
-    forward(shard, client, key, attempts, start_ns, op, payload);
-    return;
-  }
-  // One wire send. `forwarded` is only counted when a backend answers the
-  // request (in complete_request), so requests == hits + forwarded +
-  // failures holds; `attempts` counts sends, `retries` the re-sends.
-  shard.attempts.fetch_add(1, std::memory_order_relaxed);
-  if (attempts > 0) shard.retries.fetch_add(1, std::memory_order_relaxed);
-  shard.loads[node] += 1.0;
-
-  PendingRequest pending;
-  pending.client = client;
-  pending.key = key;
-  pending.op = op;
-  if (op == MsgType::kPut) pending.payload = payload;
-  pending.attempts = attempts;
-  pending.start_ns = start_ns;
-  pending.sent_ns = shard.request_us != nullptr ? obs::now_ns() : 0;
-  pending.deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(config_.retry.timeout_s));
-  backend.pending.push_back(pending);
-  pending_total_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void FrontendServer::flush_forward_queues(Shard& shard) {
-  for (std::uint32_t node = 0;
-       node < static_cast<std::uint32_t>(shard.backends.size()); ++node) {
-    if (!shard.backends[node].queued.empty()) {
-      flush_backend_queue(shard, node);
-    }
-  }
-}
-
-void FrontendServer::flush_backend_queue(Shard& shard, std::uint32_t node) {
-  BackendState& backend = shard.backends[node];
-  if (backend.queued.empty()) return;
-  std::vector<QueuedForward> queued;
-  queued.swap(backend.queued);
-
-  const auto requeue_all = [&] {
-    // The wire send never happened: re-route every forward at the same
-    // attempt count (forward re-counts pending_total_ on its way back in).
-    for (const QueuedForward& q : queued) {
-      pending_total_.fetch_sub(1, std::memory_order_relaxed);
-      forward(shard, q.client, q.key, q.attempts, q.start_ns);
-    }
-  };
-  if (!backend.up) {
-    requeue_all();
-    return;
-  }
-
+                                PendingRequest&& request) {
+  // GETs may ride a kBatchGet flushed at the reactor's before-flush hook;
+  // writes and quorum reads always go out as their own frame. Either way
+  // the counters are stamped when the request reaches the wire (on_sent).
   bool sent = false;
-  if (queued.size() == 1) {
-    // A batch of one gains nothing over the plain frame; keep the wire
-    // identical to the unbatched path.
-    Message request;
-    request.type = MsgType::kGet;
-    request.key = queued.front().key;
-    sent = shard.loop->send(backend.conn, request);
+  if (request.op == MsgType::kGet) {
+    sent = shard.upstream->queue_get(node, request.key, std::move(request));
   } else {
-    Message request;
-    request.type = MsgType::kBatchGet;
-    request.batch_keys.reserve(queued.size());
-    for (const QueuedForward& q : queued) {
-      request.batch_keys.push_back(q.key);
-    }
-    sent = shard.loop->send(backend.conn, request);
-    if (sent) {
-      shard.batch_frames.fetch_add(1, std::memory_order_relaxed);
-      shard.batch_keys.fetch_add(queued.size(), std::memory_order_relaxed);
-    }
+    Message message;
+    message.type = request.op;
+    message.key = request.key;
+    if (request.op == MsgType::kPut) message.payload = request.payload;
+    sent = shard.upstream->send(node, message, std::move(request));
   }
-  if (!sent) {
-    requeue_all();
-    return;
-  }
+  // A refused send leaves `request` intact: re-route it at the same attempt.
+  if (!sent) forward(shard, std::move(request));
+}
 
-  // One wire send for the whole queue, but the ledger stays per key:
-  // `attempts` counts keys sent (so backend requests == attempts keeps
-  // holding — the backend counts batch keys individually too), `retries`
-  // the re-sent keys, and the router's load signal moves one unit per key.
-  const std::uint64_t sent_ns =
-      shard.request_us != nullptr ? obs::now_ns() : 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(config_.retry.timeout_s));
-  for (const QueuedForward& q : queued) {
-    shard.attempts.fetch_add(1, std::memory_order_relaxed);
-    if (q.attempts > 0) shard.retries.fetch_add(1, std::memory_order_relaxed);
-    shard.loads[node] += 1.0;
-    PendingRequest pending;
-    pending.client = q.client;
-    pending.key = q.key;
-    pending.op = MsgType::kGet;
-    pending.attempts = q.attempts;
-    pending.start_ns = q.start_ns;
-    pending.sent_ns = sent_ns;
-    pending.deadline = deadline;
-    // pending_total_ was counted when the forward was queued.
-    backend.pending.push_back(pending);
+void FrontendServer::on_forward_sent(Shard& shard, std::uint32_t node,
+                                     PendingRequest& request,
+                                     std::uint64_t sent_ns) {
+  // One key on the wire. `forwarded` is only counted when a backend answers
+  // (complete_request), so requests == hits + forwarded + coalesced +
+  // failures holds; `attempts` counts keys sent (so backend requests ==
+  // attempts — the backend counts batch keys individually too), `retries`
+  // the re-sends, and the router's load signal moves one unit per key.
+  shard.attempts.fetch_add(1, std::memory_order_relaxed);
+  if (request.attempts > 0) {
+    shard.retries.fetch_add(1, std::memory_order_relaxed);
+  }
+  shard.loads[node] += 1.0;
+  request.sent_ns = shard.request_us != nullptr ? sent_ns : 0;
+}
+
+void FrontendServer::on_forward_lost(Shard& shard, PendingRequest&& request,
+                                     UpstreamLoss loss) {
+  if (loss == UpstreamLoss::kUnsent) {
+    // Never hit the wire: re-route at the same attempt count.
+    forward(shard, std::move(request));
+  } else {
+    retry_or_fail(shard, std::move(request));
   }
 }
 
-void FrontendServer::retry_or_fail(Shard& shard,
-                                   const PendingRequest& request) {
+void FrontendServer::retry_or_fail(Shard& shard, PendingRequest&& request) {
   if (request.attempts + 1 < config_.retry.max_attempts() &&
       !stopping_.load()) {
     const double backoff = config_.retry.backoff_s(request.attempts);
-    const ConnId client = request.client;
-    const std::uint64_t key = request.key;
-    const MsgType op = request.op;
-    const std::string payload = request.payload;
-    const std::uint32_t next_attempt = request.attempts + 1;
-    const std::uint64_t start_ns = request.start_ns;
-    pending_total_.fetch_add(1, std::memory_order_relaxed);
+    ++request.attempts;
     Shard* s = &shard;
     shard.loop->run_after(
-        backoff, [this, s, client, key, next_attempt, start_ns, op, payload] {
-          pending_total_.fetch_sub(1, std::memory_order_relaxed);
-          forward(*s, client, key, next_attempt, start_ns, op, payload);
+        backoff, [this, s, request = std::move(request)]() mutable {
+          forward(*s, std::move(request));
         });
   } else {
-    fail_request(shard, request.client, request.key, request.op);
+    fail_request(shard, request);
   }
 }
 
-void FrontendServer::fail_request(Shard& shard, ConnId client,
-                                  std::uint64_t key, MsgType op) {
+void FrontendServer::fail_request(Shard& shard,
+                                  const PendingRequest& request) {
+  pending_total_.fetch_sub(1, std::memory_order_relaxed);
   // A failed fetch leaves no bytes behind either — release any value-less
   // tier slot the lookup admitted.
-  drop_cached(shard, key);
+  drop_cached(shard, request.key);
   // A failed GET lead takes its parked waiters down with it (before the
-  // prefetch early-return below: a kInvalidConn lead can carry real
+  // prefetch early-return below: a warm-fetch lead can carry real
   // waiters). Failed writes never touch the GET single-flight table.
-  if (op == MsgType::kGet) fail_waiters(shard, key);
-  if (client == kInvalidConn) {
+  if (request.op == MsgType::kGet) fail_waiters(shard, request.key);
+  if (request.client.conn == kInvalidConn) {
     // Failed hot-key warm fetch: the next report retriggers it; no client
     // to answer and no failure to count (see complete_request).
-    shard.hot_prefetching.erase(key);
+    shard.hot_prefetching.erase(request.key);
     return;
   }
   shard.failures.fetch_add(1, std::memory_order_relaxed);
   Message reply;
   reply.type = MsgType::kError;
-  reply.key = key;
+  reply.key = request.key;
   reply.payload = "no live replica";
-  shard.loop->send(client, reply);
-}
-
-void FrontendServer::sweep_timeouts(Shard& shard) {
-  if (stopping_.load()) return;
-  const auto now = std::chrono::steady_clock::now();
-  for (BackendState& backend : shard.backends) {
-    if (backend.conn != kInvalidConn && !backend.pending.empty() &&
-        backend.pending.front().deadline <= now) {
-      // Head-of-line timeout: everything behind it is late too. Reset the
-      // connection; on_conn_close retries the whole queue elsewhere.
-      shard.loop->close_connection(backend.conn);
-    }
-  }
-  Shard* s = &shard;
-  shard.loop->run_after(kSweepIntervalS, [this, s] { sweep_timeouts(*s); });
+  shard.loop->reply(request.client, reply);
 }
 
 }  // namespace scp::net

@@ -7,13 +7,13 @@
 // key → serving-node balls-into-bins placement, with the cumulative
 // forwarded count per backend as the load signal). Dead backends are
 // handled with cluster::RetryPolicy: capped exponential backoff between
-// re-forwards, a per-request deadline enforced by a sweep timer, and
-// automatic reconnection.
+// re-forwards, a per-request deadline, and automatic reconnection.
 //
-// Request/reply matching is FIFO per backend connection: the backend
-// answers GETs in order, so the head of that connection's pending queue is
-// always the reply's owner (the key is cross-checked; a mismatch is a
-// protocol error and drops the connection).
+// Backend connections, reconnects, deadlines and GET batching live in one
+// Upstream per shard (net/upstream.h). Every forward carries a request id
+// that the backend echoes, so a reply is matched by id: a quorum PUT's
+// late reply and the GET replies that overtake it each reach their own
+// client. A client's own request id is echoed on every reply it gets.
 //
 // Sharding (config.shards = N > 1): a ReactorPool runs N reactors sharing
 // the listening port via SO_REUSEPORT, and every piece of per-request state
@@ -50,8 +50,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -63,6 +63,7 @@
 #include "common/rng.h"
 #include "detect/hot_key.h"
 #include "net/reactor_pool.h"
+#include "net/upstream.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 
@@ -187,61 +188,45 @@ class FrontendServer {
     std::uint64_t frames = 0;
     std::uint64_t keys = 0;
     for (const auto& shard : shards_) {
-      frames += shard->batch_frames.load(std::memory_order_relaxed);
-      keys += shard->batch_keys.load(std::memory_order_relaxed);
+      const auto [f, k] = shard->upstream->batch_totals();
+      frames += f;
+      keys += k;
     }
     return {frames, keys};
   }
 
-  /// Introspection for tests: live backend_by_conn entries summed over
+  /// Introspection for tests: live backend conn → node entries summed over
   /// shards. Only stable while the shard loops are quiescent or stopped.
   std::size_t backend_conn_entries() const noexcept {
     std::size_t total = 0;
-    for (const auto& shard : shards_) total += shard->backend_by_conn.size();
+    for (const auto& shard : shards_) {
+      total += shard->upstream->conn_entries();
+    }
     return total;
   }
 
  private:
   static constexpr std::uint32_t kNoBackend = UINT32_MAX;
 
+  /// One forward, queued or in flight in the shard's Upstream. Attempt
+  /// counters and sent_ns are stamped when it reaches the wire (on_sent).
   struct PendingRequest {
-    ConnId client = kInvalidConn;
+    Caller client;  ///< conn == kInvalidConn: a hot-key warm fetch
     std::uint64_t key = 0;
     /// What was forwarded: kGet, kQuorumGet, kPut or kDelete. Reads expect
     /// kValue/kMiss back, writes expect kWriteReply.
     MsgType op = MsgType::kGet;
-    std::string payload;  ///< kPut only: the value (kept for retries)
-    std::chrono::steady_clock::time_point deadline;
+    std::string payload{};  ///< kPut only: the value (kept for retries)
     std::uint32_t attempts = 0;  ///< 0-based index of this attempt
     std::uint64_t start_ns = 0;  ///< kGet arrival (carried across retries)
     std::uint64_t sent_ns = 0;   ///< this attempt's wire send
   };
 
-  /// A GET forward awaiting the wakeup's batch flush (batch_max > 1). The
-  /// wire send, FIFO pending entry and attempt counters all happen at flush
-  /// time so FIFO order matches wire order exactly.
-  struct QueuedForward {
-    ConnId client = kInvalidConn;
-    std::uint64_t key = 0;
-    std::uint32_t attempts = 0;
-    std::uint64_t start_ns = 0;
-  };
-
-  struct BackendState {
-    std::string address;
-    std::uint16_t port = 0;
-    ConnId conn = kInvalidConn;
-    bool up = false;
-    std::uint32_t connect_attempts = 0;
-    std::deque<PendingRequest> pending;  ///< FIFO on this connection
-    std::vector<QueuedForward> queued;   ///< forwards awaiting batch flush
-  };
-
   /// A client parked on another request's in-flight forward for the same
-  /// key (single-flight coalescing). client == kInvalidConn marks a hot-key
-  /// warm fetch riding along.
+  /// key (single-flight coalescing). client.conn == kInvalidConn marks a
+  /// hot-key warm fetch riding along.
   struct Waiter {
-    ConnId client = kInvalidConn;
+    Caller client;
     std::uint64_t start_ns = 0;
   };
 
@@ -262,10 +247,10 @@ class FrontendServer {
     std::unordered_set<std::uint64_t> dirty;
     Rng rng{1};
 
-    std::vector<BackendState> backends;
-    std::unordered_map<ConnId, std::uint32_t> backend_by_conn;
+    /// Backend connections, in-flight forwards and batch queues.
+    std::optional<Upstream<PendingRequest>> upstream;
     /// Single-flight table: key -> waiters parked on the one in-flight GET
-    /// forward for that key (the lead request rides the pending FIFO as
+    /// forward for that key (the lead request rides the upstream as
     /// usual; retries and failover move the lead, never the waiters).
     std::unordered_map<std::uint64_t, std::vector<Waiter>> inflight;
     std::vector<double> loads;  ///< forwarded count per backend (routing)
@@ -289,15 +274,10 @@ class FrontendServer {
     std::atomic<std::uint64_t> retries{0};
     std::atomic<std::uint64_t> failures{0};
     std::atomic<std::uint64_t> attempts{0};
-    /// Batched forwarding: kBatchGet frames sent and the keys they carried
-    /// (batch_keys / batch_frames = mean batch fill).
-    std::atomic<std::uint64_t> batch_frames{0};
-    std::atomic<std::uint64_t> batch_keys{0};
     std::atomic<std::uint64_t> puts{0};
     std::atomic<std::uint64_t> deletes{0};
     /// Cache entries dropped/dirtied because a write touched their key.
     std::atomic<std::uint64_t> invalidations{0};
-    std::atomic<std::uint32_t> backends_up{0};
 
     /// Hot-key mitigation state (config.detect; loop-thread only). Each
     /// shard subscribes on its own backend connections, so its aggregator
@@ -345,15 +325,17 @@ class FrontendServer {
   /// or the tier runs a policy cache (only the owner knows its contents).
   bool fleet_redirect_needed(std::uint64_t key) const noexcept;
 
-  void handle(Shard& shard, ConnId conn, Message&& message);
   void handle_client(Shard& shard, ConnId conn, Message&& message);
-  void handle_write(Shard& shard, ConnId conn, Message&& message);
-  void handle_backend(Shard& shard, std::uint32_t node, Message&& message);
+  void handle_write(Shard& shard, const Caller& client, Message&& message);
   /// Absorbs a pushed kHotKeyReport into the shard's aggregator and runs
   /// the mitigation pass over the resulting hot set.
   void handle_hot_report(Shard& shard, Message&& message);
-  void on_conn_close(Shard& shard, ConnId conn);
-  void on_conn_connect(Shard& shard, ConnId conn, bool ok);
+  /// Upstream callbacks: a forward reached the wire / was answered / will
+  /// get no answer (re-routed when never sent, else retried or failed).
+  void on_forward_sent(Shard& shard, std::uint32_t node,
+                       PendingRequest& request, std::uint64_t sent_ns);
+  void on_forward_lost(Shard& shard, PendingRequest&& request,
+                       UpstreamLoss loss);
 
   bool cache_lookup(Shard& shard, std::uint64_t key, std::string& value);
   void admit(Shard& shard, std::uint64_t key, const std::string& value);
@@ -366,22 +348,17 @@ class FrontendServer {
 
   /// One GET of a kGet / kBatchGet client frame: cache lookup, fleet
   /// bounce, or miss forward. `start_ns` is the frame arrival time.
-  void serve_get(Shard& shard, ConnId conn, std::uint64_t key,
+  void serve_get(Shard& shard, const Caller& client, std::uint64_t key,
                  std::uint64_t start_ns);
   /// Single-flight entry point for GET misses: parks on an existing
   /// in-flight forward for `key` when coalescing allows, else forwards.
-  void forward_get(Shard& shard, ConnId client, std::uint64_t key,
+  void forward_get(Shard& shard, const Caller& client, std::uint64_t key,
                    std::uint64_t start_ns);
-  /// Settles one forwarded request with its backend verdict (shared by the
-  /// single-reply and kBatchReply paths); fans the result out to any
-  /// coalesced waiters on GETs.
+  /// Settles one forwarded request with its backend reply (single frames
+  /// and kBatchReply items alike); fans the result out to any coalesced
+  /// waiters on GETs.
   void settle_forward(Shard& shard, std::uint32_t node,
-                      const PendingRequest& request, MsgType type,
-                      std::string&& payload, std::uint32_t redirect_node,
-                      std::uint64_t version);
-  /// Pops reply.batch.size() FIFO entries off `node`'s pending queue (keys
-  /// cross-checked in order) and settles each one.
-  void handle_batch_reply(Shard& shard, std::uint32_t node, Message&& reply);
+                      PendingRequest&& request, Message&& reply);
   /// Completion fan-out: answers every waiter parked on `key` with the
   /// settled kValue/kMiss verdict and erases the in-flight entry.
   void finish_waiters(Shard& shard, std::uint64_t key, MsgType type,
@@ -389,25 +366,17 @@ class FrontendServer {
   /// Failure fan-out: kError to every waiter parked on `key`.
   void fail_waiters(Shard& shard, std::uint64_t key);
 
-  void forward(Shard& shard, ConnId client, std::uint64_t key,
-               std::uint32_t attempts, std::uint64_t start_ns,
-               MsgType op = MsgType::kGet, const std::string& payload = {});
-  void forward_to(Shard& shard, std::uint32_t node, ConnId client,
-                  std::uint64_t key, std::uint32_t attempts,
-                  std::uint64_t start_ns, MsgType op = MsgType::kGet,
-                  const std::string& payload = {});
-  /// Reactor before-flush hook: flushes every backend's queued forwards so
-  /// the batch frames ride the same gathered write as the wakeup's replies.
-  void flush_forward_queues(Shard& shard);
-  /// Sends one backend's queued forwards: a single kBatchGet when > 1 is
-  /// queued, the plain kGet path for a queue of one.
-  void flush_backend_queue(Shard& shard, std::uint32_t node);
+  /// Starts forwarding a client request: counts it in pending_total_
+  /// until complete_request or fail_request settles it.
+  void begin_forward(Shard& shard, PendingRequest&& request);
+  /// Routes `request` (at its current attempt) to a live replica, backing
+  /// off when none is up.
+  void forward(Shard& shard, PendingRequest&& request);
+  void forward_to(Shard& shard, std::uint32_t node, PendingRequest&& request);
   std::uint32_t route(Shard& shard, std::uint64_t key);
-  void retry_or_fail(Shard& shard, const PendingRequest& request);
-  void fail_request(Shard& shard, ConnId client, std::uint64_t key,
-                    MsgType op);
-  void schedule_reconnect(Shard& shard, std::uint32_t node);
-  void sweep_timeouts(Shard& shard);
+  /// Re-forwards the next attempt after the policy's backoff, or fails.
+  void retry_or_fail(Shard& shard, PendingRequest&& request);
+  void fail_request(Shard& shard, const PendingRequest& request);
 
   FrontendConfig config_;
   std::unique_ptr<ReplicaPartitioner> partitioner_;

@@ -45,6 +45,13 @@ namespace scp::net {
 using ConnId = std::uint64_t;
 inline constexpr ConnId kInvalidConn = 0;
 
+/// Who a reply goes to: the requester's connection and the request id its
+/// frame carried (0 = none), which the reply must echo.
+struct Caller {
+  ConnId conn = kInvalidConn;
+  std::uint64_t id = 0;
+};
+
 enum class ReactorKind { kEpoll, kUring };
 
 /// Parses "epoll" or "uring" (the --reactor flag values). False otherwise.
@@ -153,6 +160,12 @@ class Reactor {
 
   /// Queues a message on `conn` (loop thread). False if the conn is gone.
   virtual bool send(ConnId conn, const Message& message) = 0;
+
+  /// Answers `to`: stamps its request id on `message` and sends it.
+  bool reply(const Caller& to, Message& message) {
+    message.id = to.id;
+    return send(to.conn, message);
+  }
 
   /// Closes `conn` and fires on_close (loop thread).
   virtual void close_connection(ConnId conn) = 0;

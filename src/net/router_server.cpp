@@ -7,13 +7,6 @@
 #include "common/log.h"
 
 namespace scp::net {
-namespace {
-
-constexpr double kSweepIntervalS = 0.020;
-constexpr double kReconnectBaseS = 0.050;
-constexpr double kReconnectCapS = 1.0;
-
-}  // namespace
 
 RouterServer::RouterServer(RouterConfig config)
     : config_(std::move(config)),
@@ -21,7 +14,39 @@ RouterServer::RouterServer(RouterConfig config)
           ReactorOptions{.kind = config_.reactor, .busy_poll = config_.busy_poll})),
       router_(static_cast<std::uint32_t>(config_.frontends.size()),
               config_.fleet_seed),
-      rng_(config_.seed) {}
+      rng_(config_.seed),
+      // batch_max <= 1 never queues: one kGet frame per dispatch. A
+      // kBatchGet cannot carry more keys than the decoder accepts.
+      members_(*loop_,
+               UpstreamPeers::Options{
+                   .name = "scp_router",
+                   .timeout_s = config_.timeout_s,
+                   .batch_max = std::min(config_.batch_max, kMaxBatchEntries)},
+               Upstream<PendingRequest>::Callbacks{
+                   .on_reply =
+                       [this](std::uint32_t member, PendingRequest&& request,
+                              Message&& reply) {
+                         handle_member(member, std::move(request),
+                                       std::move(reply));
+                       },
+                   .on_lost =
+                       [this](std::uint32_t member, PendingRequest&& request,
+                              UpstreamLoss loss) {
+                         on_dispatch_lost(member, std::move(request), loss);
+                       },
+                   .on_sent =
+                       [this](std::uint32_t member, PendingRequest& request,
+                              std::uint64_t /*sent_ns*/) {
+                         on_dispatch_sent(member, request);
+                       },
+                   .on_state =
+                       [this](std::uint32_t member, bool up) {
+                         router_.set_up(member, up);
+                       },
+                   .on_unsolicited =
+                       [this](std::uint32_t member, Message&& message) {
+                         handle_scrape(member, message);
+                       }}) {}
 
 RouterServer::~RouterServer() { stop(0.0); }
 
@@ -31,38 +56,29 @@ bool RouterServer::start() {
     return false;
   }
   if (config_.max_hops == 0) config_.max_hops = 1;
-  // A kBatchGet frame cannot carry more keys than the decoder accepts.
-  config_.batch_max = std::min(config_.batch_max, kMaxBatchEntries);
 
-  members_.resize(config_.frontends.size());
+  // Members start pessimistically down; they flip up as they connect.
   for (std::size_t i = 0; i < config_.frontends.size(); ++i) {
-    members_[i].address = config_.frontends[i].first;
-    members_[i].port = config_.frontends[i].second;
-    // Members start pessimistically down; on_conn_connect flips them up.
     router_.set_up(static_cast<std::uint32_t>(i), false);
   }
-
   Reactor::Callbacks callbacks;
   callbacks.on_message = [this](ConnId conn, Message&& message) {
-    handle(conn, std::move(message));
+    if (!members_.on_message(conn, std::move(message))) {
+      handle_client(conn, std::move(message));
+    }
   };
-  callbacks.on_close = [this](ConnId conn) { on_conn_close(conn); };
+  // A client hanging up needs nothing: its pending replies fail at send.
+  callbacks.on_close = [this](ConnId conn) { members_.on_close(conn); };
   callbacks.on_connect = [this](ConnId conn, bool ok) {
-    on_conn_connect(conn, ok);
+    members_.on_connect(conn, ok);
   };
   loop_->set_callbacks(std::move(callbacks));
-  if (config_.batch_max > 1) {
-    // Flush queued GET dispatches right before the reactor's gathered
-    // write; batch_max <= 1 never queues, keeping the unbatched dispatch
-    // path byte-identical.
-    loop_->set_before_flush([this] { flush_member_queues(); });
-  }
 
   if (config_.metrics) {
     request_us_ = &registry_.timer("router.request_us");
     member_rtt_us_ = &registry_.timer("router.fe_rtt_us");
-    member_dispatches_.resize(members_.size());
-    for (std::size_t i = 0; i < members_.size(); ++i) {
+    member_dispatches_.resize(config_.frontends.size());
+    for (std::size_t i = 0; i < config_.frontends.size(); ++i) {
       member_dispatches_[i] =
           &registry_.counter("router.dispatches.fe" + std::to_string(i));
     }
@@ -81,23 +97,23 @@ bool RouterServer::start() {
     }
   }
 
-  for (std::uint32_t member = 0; member < members_.size(); ++member) {
-    MemberState& fe = members_[member];
-    fe.conn = loop_->connect(fe.address, fe.port);
-    member_by_conn_[fe.conn] = member;
+  for (std::uint32_t member = 0; member < config_.frontends.size(); ++member) {
+    members_.set_peer(member, config_.frontends[member].first,
+                      config_.frontends[member].second);
   }
-  loop_->run_after(kSweepIntervalS, [this] { sweep_timeouts(); });
+  members_.start();
   loop_->run_after(config_.scrape_interval_s, [this] { scrape_members(); });
 
   if (!loop_->start()) return false;
   SCP_LOG_INFO << "scp_router serving on " << config_.address << ":"
-               << loop_->port() << " (fleet=" << members_.size()
+               << loop_->port() << " (fleet=" << config_.frontends.size()
                << " scrape=" << config_.scrape_interval_s << "s)";
   return true;
 }
 
 void RouterServer::stop(double drain_s) {
   stopping_.store(true);
+  members_.stop();
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration_cast<
                             std::chrono::steady_clock::duration>(
@@ -125,7 +141,7 @@ bool RouterServer::wait_frontends_up(double timeout_s) const {
                         std::chrono::duration_cast<
                             std::chrono::steady_clock::duration>(
                             std::chrono::duration<double>(timeout_s));
-  while (frontends_up_.load(std::memory_order_relaxed) < members_.size()) {
+  while (members_.up_count() < config_.frontends.size()) {
     if (std::chrono::steady_clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
@@ -156,17 +172,16 @@ obs::MetricsSnapshot RouterServer::metrics_snapshot() const {
       failures_.load(std::memory_order_relaxed);
   snap.counters["router.attempts_total"] =
       attempts_.load(std::memory_order_relaxed);
-  snap.counters["router.batch_frames"] =
-      batch_frames_.load(std::memory_order_relaxed);
-  snap.counters["router.batch_keys"] =
-      batch_keys_.load(std::memory_order_relaxed);
+  const auto [batch_frames, batch_keys] = members_.batch_totals();
+  snap.counters["router.batch_frames"] = batch_frames;
+  snap.counters["router.batch_keys"] = batch_keys;
   snap.counters["router.scrapes"] = scrapes_.load(std::memory_order_relaxed);
   snap.gauges["router.scrape_ms"] =
       static_cast<std::int64_t>(config_.scrape_interval_s * 1000.0);
-  snap.gauges["router.frontends_up"] = static_cast<std::int64_t>(
-      frontends_up_.load(std::memory_order_relaxed));
+  snap.gauges["router.frontends_up"] =
+      static_cast<std::int64_t>(members_.up_count());
   snap.gauges["router.fleet_size"] =
-      static_cast<std::int64_t>(members_.size());
+      static_cast<std::int64_t>(config_.frontends.size());
   snap.gauges["router.pending_requests"] = static_cast<std::int64_t>(
       pending_total_.load(std::memory_order_relaxed));
   const ReactorCounters& loop = loop_->counters();
@@ -186,24 +201,10 @@ std::uint16_t RouterServer::metrics_http_port() const noexcept {
   return metrics_http_ != nullptr ? metrics_http_->port() : 0;
 }
 
-void RouterServer::handle(ConnId conn, Message&& message) {
-  auto it = member_by_conn_.find(conn);
-  if (it != member_by_conn_.end()) {
-    handle_member(it->second, std::move(message));
-  } else {
-    handle_client(conn, std::move(message));
-  }
-}
-
 void RouterServer::handle_client(ConnId conn, Message&& message) {
+  const Caller client{conn, message.id};
   switch (message.type) {
-    case MsgType::kGet: {
-      const std::uint64_t start_ns =
-          request_us_ != nullptr ? obs::now_ns() : 0;
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      dispatch(conn, message.key, /*hops=*/0, start_ns);
-      return;
-    }
+    case MsgType::kGet:
     case MsgType::kPut:
     case MsgType::kDelete:
     case MsgType::kQuorumGet: {
@@ -211,31 +212,33 @@ void RouterServer::handle_client(ConnId conn, Message&& message) {
       // serves them (invalidating its cache slice on the way) or answers
       // kRedirect toward the owner, which handle_member replays with the
       // same op and payload.
-      const std::uint64_t start_ns =
-          request_us_ != nullptr ? obs::now_ns() : 0;
       requests_.fetch_add(1, std::memory_order_relaxed);
-      dispatch(conn, message.key, /*hops=*/0, start_ns, message.type,
-               message.payload);
+      pending_total_.fetch_add(1, std::memory_order_relaxed);
+      dispatch({.client = client,
+                .key = message.key,
+                .op = message.type,
+                .payload = std::move(message.payload),
+                .start_ns = request_us_ != nullptr ? obs::now_ns() : 0});
       return;
     }
     case MsgType::kStats: {
       Message reply;
       reply.type = MsgType::kStatsReply;
       reply.stats = stats();
-      loop_->send(conn, reply);
+      loop_->reply(client, reply);
       return;
     }
     case MsgType::kMetricsRequest: {
       Message reply;
       reply.type = MsgType::kMetricsReply;
       reply.metrics = metrics_snapshot();
-      loop_->send(conn, reply);
+      loop_->reply(client, reply);
       return;
     }
     case MsgType::kPing: {
       Message reply;
       reply.type = MsgType::kPong;
-      loop_->send(conn, reply);
+      loop_->reply(client, reply);
       return;
     }
     default: {
@@ -243,347 +246,143 @@ void RouterServer::handle_client(ConnId conn, Message&& message) {
       reply.type = MsgType::kError;
       reply.key = message.key;
       reply.payload = "unexpected message type";
-      loop_->send(conn, reply);
+      loop_->reply(client, reply);
       return;
     }
   }
 }
 
-void RouterServer::handle_member(std::uint32_t member, Message&& message) {
-  MemberState& fe = members_[member];
-  if (message.type == MsgType::kMetricsReply) {
-    // Scrape result: refresh this member's load base — its own request
-    // counter plus whatever it still has in flight toward the backends.
-    std::uint64_t load = 0;
-    auto counter = message.metrics.counters.find("frontend.requests");
-    if (counter != message.metrics.counters.end()) load = counter->second;
-    auto gauge = message.metrics.gauges.find("frontend.pending_requests");
-    if (gauge != message.metrics.gauges.end() && gauge->second > 0) {
-      load += static_cast<std::uint64_t>(gauge->second);
-    }
-    router_.set_scraped_load(member, load);
-    return;
-  }
-  if (message.type == MsgType::kPong ||
-      message.type == MsgType::kStatsReply) {
-    return;  // health probes; nothing pending
-  }
-  // Replies are matched by key, not FIFO: a fleet member answers cache hits
-  // and redirects immediately but forwards only when the backend responds,
-  // so its replies legitimately overtake one another. Oldest-first scan so
-  // duplicate keys in flight complete in dispatch order.
-  const auto it = std::find_if(
-      fe.pending.begin(), fe.pending.end(),
-      [&](const PendingRequest& p) { return p.key == message.key; });
-  if (it == fe.pending.end()) {
-    SCP_LOG_WARN << "scp_router: unmatched reply from fe " << member
-                 << "; resetting connection";
-    loop_->close_connection(fe.conn);
-    return;
-  }
-  PendingRequest request = *it;
-  fe.pending.erase(it);
-  pending_total_.fetch_sub(1, std::memory_order_relaxed);
+void RouterServer::handle_member(std::uint32_t member,
+                                 PendingRequest&& request, Message&& reply) {
   router_.on_complete(member);
-
-  if (message.type == MsgType::kRedirect) {
+  ++request.hops;
+  if (reply.type == MsgType::kRedirect) {
     // A cached key landed on the non-owner: follow the hop to the owner
-    // (message.node is a *fleet index*). Transparent to the client.
+    // (reply.node is a *fleet index*). Transparent to the client.
     redirects_.fetch_add(1, std::memory_order_relaxed);
-    const std::uint32_t owner = static_cast<std::uint32_t>(message.node);
-    if (owner < members_.size() && request.hops < config_.max_hops &&
-        dispatch_to(owner, request.client, request.key, request.hops,
-                    request.start_ns, request.op, request.payload)) {
+    if (request.hops >= config_.max_hops) {
+      fail_request(request);
       return;
     }
-    // Owner down or hop budget spent: let the surviving candidate serve
-    // the forward path instead of failing outright.
-    if (request.hops < config_.max_hops) {
-      dispatch(request.client, request.key, request.hops, request.start_ns,
-               request.op, request.payload);
-    } else {
-      fail_request(request.client, request.key);
+    const std::uint32_t owner = reply.node;
+    if (owner < config_.frontends.size() &&
+        dispatch_to(owner, std::move(request))) {
+      return;
     }
+    // Owner down: let the surviving candidate serve the forward path
+    // instead of failing outright.
+    dispatch(std::move(request));
     return;
   }
 
-  // kValue / kMiss / kError relay verbatim; the client sees exactly what
-  // the fleet member answered. An error still counts as a failure (not a
-  // forward) so requests == forwarded + failures holds at the router too.
-  if (message.type == MsgType::kError) {
+  // kValue / kMiss / kError relay verbatim under the client's own request
+  // id; the client sees exactly what the fleet member answered. An error
+  // still counts as a failure (not a forward) so requests == forwarded +
+  // failures holds at the router too.
+  if (reply.type == MsgType::kError) {
     failures_.fetch_add(1, std::memory_order_relaxed);
   } else {
     forwarded_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (request_us_ != nullptr) {
-    const std::uint64_t now = obs::now_ns();
-    if (request.start_ns != 0) {
-      request_us_->record((now - request.start_ns) / 1'000);
-    }
+  pending_total_.fetch_sub(1, std::memory_order_relaxed);
+  if (request_us_ != nullptr && request.start_ns != 0) {
+    request_us_->record((obs::now_ns() - request.start_ns) / 1'000);
   }
-  const ConnId client = request.client;
-  loop_->send(client, message);
+  loop_->reply(request.client, reply);
 }
 
-void RouterServer::on_conn_close(ConnId conn) {
-  auto it = member_by_conn_.find(conn);
-  if (it == member_by_conn_.end()) {
-    return;  // client hung up; replies fail at send()
+void RouterServer::handle_scrape(std::uint32_t member,
+                                 const Message& message) {
+  if (message.type != MsgType::kMetricsReply) return;
+  // Refresh this member's load base: its own request counter plus whatever
+  // it still has in flight toward the backends.
+  std::uint64_t load = 0;
+  auto counter = message.metrics.counters.find("frontend.requests");
+  if (counter != message.metrics.counters.end()) load = counter->second;
+  auto gauge = message.metrics.gauges.find("frontend.pending_requests");
+  if (gauge != message.metrics.gauges.end() && gauge->second > 0) {
+    load += static_cast<std::uint64_t>(gauge->second);
   }
-  const std::uint32_t member = it->second;
-  member_by_conn_.erase(it);
-  MemberState& fe = members_[member];
-  if (fe.up) {
-    fe.up = false;
-    frontends_up_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  fe.conn = kInvalidConn;
-  router_.set_up(member, false);
-
-  std::deque<PendingRequest> orphaned;
-  orphaned.swap(fe.pending);
-  for (const PendingRequest& request : orphaned) {
-    pending_total_.fetch_sub(1, std::memory_order_relaxed);
-    router_.on_complete(member);
-    // Re-dispatch to whichever candidate is still live (the dead member is
-    // marked down, so pick() routes around it).
-    if (request.hops < config_.max_hops) {
-      dispatch(request.client, request.key, request.hops, request.start_ns,
-               request.op, request.payload);
-    } else {
-      fail_request(request.client, request.key);
-    }
-  }
-  // Queued dispatches never hit the wire: unwind the queue-time accounting
-  // and route them again without burning a hop.
-  std::vector<QueuedDispatch> queued;
-  queued.swap(fe.queued);
-  for (const QueuedDispatch& q : queued) {
-    pending_total_.fetch_sub(1, std::memory_order_relaxed);
-    router_.on_complete(member);
-    dispatch(q.client, q.key, q.hops, q.start_ns);
-  }
-  schedule_reconnect(member);
+  router_.set_scraped_load(member, load);
 }
 
-void RouterServer::on_conn_connect(ConnId conn, bool ok) {
-  auto it = member_by_conn_.find(conn);
-  if (it == member_by_conn_.end()) return;
-  const std::uint32_t member = it->second;
-  MemberState& fe = members_[member];
-  if (ok) {
-    fe.up = true;
-    fe.connect_attempts = 0;
-    frontends_up_.fetch_add(1, std::memory_order_relaxed);
-    router_.set_up(member, true);
-    return;
-  }
-  member_by_conn_.erase(it);
-  fe.conn = kInvalidConn;
-  schedule_reconnect(member);
-}
-
-void RouterServer::schedule_reconnect(std::uint32_t member) {
-  if (stopping_.load()) return;
-  MemberState& fe = members_[member];
-  const double delay =
-      std::min(kReconnectBaseS * static_cast<double>(
-                                     1u << std::min(fe.connect_attempts, 10u)),
-               kReconnectCapS);
-  fe.connect_attempts++;
-  loop_->run_after(delay, [this, member] {
-    if (stopping_.load()) return;
-    MemberState& target = members_[member];
-    if (target.conn != kInvalidConn) return;  // already reconnecting
-    target.conn = loop_->connect(target.address, target.port);
-    member_by_conn_[target.conn] = member;
-  });
-}
-
-bool RouterServer::dispatch_to(std::uint32_t member, ConnId client,
-                               std::uint64_t key, std::uint32_t hops,
-                               std::uint64_t start_ns, MsgType op,
-                               const std::string& payload) {
-  MemberState& fe = members_[member];
-  if (!fe.up) return false;
-  if (op == MsgType::kGet && config_.batch_max > 1) {
-    // Batched dispatch: GETs for this member accumulate and flush as one
-    // kBatchGet at the reactor's before-flush hook (sooner if the queue
-    // fills). The load delta is counted now so power-of-two-choices sees
-    // same-wakeup dispatches; the wire send, pending entry and attempt
-    // counters happen at flush.
-    fe.queued.push_back({client, key, hops, start_ns});
-    pending_total_.fetch_add(1, std::memory_order_relaxed);
-    router_.on_dispatch(member);
-    if (fe.queued.size() >= config_.batch_max) {
-      flush_member_queue(member);
-    }
-    return true;
-  }
-  Message request;
-  request.type = op;
-  request.key = key;
-  if (op == MsgType::kPut) request.payload = payload;
-  if (!loop_->send(fe.conn, request)) return false;
+void RouterServer::on_dispatch_sent(std::uint32_t member,
+                                    const PendingRequest& request) {
+  // One key on the wire (a batch counts per key).
   attempts_.fetch_add(1, std::memory_order_relaxed);
-  if (hops > 0) retries_.fetch_add(1, std::memory_order_relaxed);
-  router_.on_dispatch(member);
-  if (member < member_dispatches_.size() &&
-      member_dispatches_[member] != nullptr) {
-    member_dispatches_[member]->inc();
-  }
-
-  PendingRequest pending;
-  pending.client = client;
-  pending.key = key;
-  pending.op = op;
-  if (op == MsgType::kPut) pending.payload = payload;
-  pending.hops = hops + 1;
-  pending.start_ns = start_ns;
-  pending.deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(config_.timeout_s));
-  fe.pending.push_back(pending);
-  pending_total_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  if (request.hops > 0) retries_.fetch_add(1, std::memory_order_relaxed);
+  if (member < member_dispatches_.size()) member_dispatches_[member]->inc();
 }
 
-void RouterServer::flush_member_queues() {
-  for (std::uint32_t member = 0;
-       member < static_cast<std::uint32_t>(members_.size()); ++member) {
-    if (!members_[member].queued.empty()) flush_member_queue(member);
-  }
+void RouterServer::on_dispatch_lost(std::uint32_t member,
+                                    PendingRequest&& request,
+                                    UpstreamLoss loss) {
+  router_.on_complete(member);
+  // A dispatch that never hit the wire is routed again without burning a
+  // hop; one lost in flight counts its hop. The dead member is marked down
+  // by now, so pick() routes around it.
+  if (loss == UpstreamLoss::kClosed) ++request.hops;
+  dispatch(std::move(request));
 }
 
-void RouterServer::flush_member_queue(std::uint32_t member) {
-  MemberState& fe = members_[member];
-  if (fe.queued.empty()) return;
-  std::vector<QueuedDispatch> queued;
-  queued.swap(fe.queued);
-
-  const auto redispatch_all = [&] {
-    // The wire send never happened: unwind the queue-time accounting and
-    // route each dispatch again (the dead member is marked down, so pick()
-    // goes around it; dispatch re-counts pending_total_ on its way in).
-    for (const QueuedDispatch& q : queued) {
-      pending_total_.fetch_sub(1, std::memory_order_relaxed);
-      router_.on_complete(member);
-      dispatch(q.client, q.key, q.hops, q.start_ns);
-    }
-  };
-  if (!fe.up) {
-    redispatch_all();
-    return;
-  }
-
+bool RouterServer::dispatch_to(std::uint32_t member,
+                               PendingRequest&& request) {
   bool sent = false;
-  if (queued.size() == 1) {
-    // A batch of one gains nothing over the plain frame; keep the wire
-    // identical to the unbatched path.
-    Message request;
-    request.type = MsgType::kGet;
-    request.key = queued.front().key;
-    sent = loop_->send(fe.conn, request);
+  if (request.op == MsgType::kGet) {
+    sent = members_.queue_get(member, request.key, std::move(request));
   } else {
-    Message request;
-    request.type = MsgType::kBatchGet;
-    request.batch_keys.reserve(queued.size());
-    for (const QueuedDispatch& q : queued) {
-      request.batch_keys.push_back(q.key);
-    }
-    sent = loop_->send(fe.conn, request);
-    if (sent) {
-      batch_frames_.fetch_add(1, std::memory_order_relaxed);
-      batch_keys_.fetch_add(queued.size(), std::memory_order_relaxed);
-    }
+    Message message;
+    message.type = request.op;
+    message.key = request.key;
+    if (request.op == MsgType::kPut) message.payload = request.payload;
+    sent = members_.send(member, message, std::move(request));
   }
-  if (!sent) {
-    redispatch_all();
-    return;
-  }
-
-  // One wire send for the whole queue; the ledger stays per key (the fleet
-  // member answers each with its own frame and counts them individually).
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(config_.timeout_s));
-  for (const QueuedDispatch& q : queued) {
-    attempts_.fetch_add(1, std::memory_order_relaxed);
-    if (q.hops > 0) retries_.fetch_add(1, std::memory_order_relaxed);
-    if (member < member_dispatches_.size() &&
-        member_dispatches_[member] != nullptr) {
-      member_dispatches_[member]->inc();
-    }
-    PendingRequest pending;
-    pending.client = q.client;
-    pending.key = q.key;
-    pending.op = MsgType::kGet;
-    pending.hops = q.hops + 1;
-    pending.start_ns = q.start_ns;
-    pending.deadline = deadline;
-    // pending_total_ and router_.on_dispatch were counted at queue time.
-    fe.pending.push_back(pending);
-  }
+  if (sent) router_.on_dispatch(member);
+  return sent;
 }
 
-void RouterServer::dispatch(ConnId client, std::uint64_t key,
-                            std::uint32_t hops, std::uint64_t start_ns,
-                            MsgType op, const std::string& payload) {
-  if (hops >= config_.max_hops) {
-    fail_request(client, key);
+void RouterServer::dispatch(PendingRequest&& request) {
+  if (request.hops >= config_.max_hops) {
+    fail_request(request);
     return;
   }
-  const std::uint32_t member = router_.pick(key, rng_);
-  if (member != kNoFleetMember &&
-      dispatch_to(member, client, key, hops, start_ns, op, payload)) {
+  const std::uint32_t member = router_.pick(request.key, rng_);
+  if (member != kNoFleetMember && dispatch_to(member, std::move(request))) {
     return;
   }
   // pick() chose a member whose send failed, or nothing is live: try the
   // remaining candidate once before giving up.
-  const FleetCandidates candidates = router_.candidates_of(key);
+  const FleetCandidates candidates = router_.candidates_of(request.key);
   const std::uint32_t other =
       member == candidates.owner ? candidates.alternate : candidates.owner;
   if (other != member && router_.up(other) &&
-      dispatch_to(other, client, key, hops, start_ns, op, payload)) {
+      dispatch_to(other, std::move(request))) {
     return;
   }
-  fail_request(client, key);
+  fail_request(request);
 }
 
-void RouterServer::fail_request(ConnId client, std::uint64_t key) {
+void RouterServer::fail_request(const PendingRequest& request) {
   failures_.fetch_add(1, std::memory_order_relaxed);
+  pending_total_.fetch_sub(1, std::memory_order_relaxed);
   Message reply;
   reply.type = MsgType::kError;
-  reply.key = key;
+  reply.key = request.key;
   reply.payload = "no live front end";
-  loop_->send(client, reply);
+  loop_->reply(request.client, reply);
 }
 
 void RouterServer::scrape_members() {
   if (stopping_.load()) return;
   scrapes_.fetch_add(1, std::memory_order_relaxed);
+  // Untagged: the reply comes back through on_unsolicited, outside the
+  // request table.
   Message probe;
   probe.type = MsgType::kMetricsRequest;
-  for (const MemberState& fe : members_) {
-    if (fe.up) loop_->send(fe.conn, probe);
+  for (std::uint32_t member = 0; member < config_.frontends.size(); ++member) {
+    members_.send_untracked(member, probe);
   }
   loop_->run_after(config_.scrape_interval_s, [this] { scrape_members(); });
-}
-
-void RouterServer::sweep_timeouts() {
-  if (stopping_.load()) return;
-  const auto now = std::chrono::steady_clock::now();
-  for (MemberState& fe : members_) {
-    if (fe.conn != kInvalidConn && !fe.pending.empty() &&
-        fe.pending.front().deadline <= now) {
-      // Head-of-line timeout: reset the connection; on_conn_close
-      // re-dispatches the whole queue to the surviving candidate.
-      loop_->close_connection(fe.conn);
-    }
-  }
-  loop_->run_after(kSweepIntervalS, [this] { sweep_timeouts(); });
 }
 
 }  // namespace scp::net

@@ -11,13 +11,15 @@
 // (a cached key landed on the wrong member), the router follows the hop
 // transparently — the client never sees a REDIRECT.
 //
-// Request/reply matching is by key per fleet-member connection — NOT FIFO,
-// because a member answers cache hits and redirects immediately but
-// forwards only when its backend responds, so replies legitimately overtake
-// one another. Scrape replies (kMetricsReply/kStatsReply/kPong) are
-// filtered out before matching; an unmatched key is a protocol error that
-// resets the connection. A member connection dying re-dispatches its queued
-// requests to the surviving candidate (or fails them after the hop budget).
+// Member connections, reconnects, deadlines and GET batching live in one
+// Upstream (net/upstream.h). Every dispatch carries a request id that the
+// member echoes, so replies are matched by id: a member answers cache hits
+// and redirects immediately but forwards only when its backend responds,
+// so replies legitimately overtake one another, even for the same key.
+// Scrape replies (kMetricsReply) travel untagged, outside the matching; a
+// reply with an unknown id is a protocol error that resets the connection.
+// A member connection dying re-dispatches its requests to the surviving
+// candidate (or fails them after the hop budget).
 //
 // The router is deliberately stateless beyond the fleet seed and endpoint
 // list — any number of router replicas can front the same fleet, so the
@@ -26,15 +28,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
 #include "net/fleet.h"
 #include "net/reactor.h"
+#include "net/upstream.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 
@@ -59,8 +60,7 @@ struct RouterConfig {
   /// Max keys per kBatchGet dispatch frame. GET dispatches for one member
   /// accumulate during a reactor wakeup and flush as one batch frame
   /// (sooner when the queue reaches this cap); the member answers each key
-  /// with its own reply frame, which the by-key matching absorbs
-  /// unchanged. <= 1 disables batching (one kGet frame per dispatch,
+  /// with its own reply frame, tagged with that key's request id. <= 1 disables batching (one kGet frame per dispatch,
   /// byte-identical to the unbatched wire traffic). Clamped to
   /// kMaxBatchEntries.
   std::uint32_t batch_max = 64;
@@ -108,72 +108,46 @@ class RouterServer {
   ReactorKind reactor_kind() const noexcept;
 
  private:
+  /// One client request, queued or in flight in the Upstream. The
+  /// member's load delta (router_.on_dispatch) is counted when it is handed
+  /// to the Upstream, so power-of-two-choices sees same-wakeup dispatches;
+  /// the attempt counters tick when it reaches the wire (on_sent).
   struct PendingRequest {
-    ConnId client = kInvalidConn;
+    Caller client;
     std::uint64_t key = 0;
     /// Dispatched op: kGet, kQuorumGet, kPut or kDelete (writes redirect to
     /// the fleet owner exactly like cached reads, so both need replaying).
     MsgType op = MsgType::kGet;
-    std::string payload;  ///< kPut only: the value (kept for re-dispatch)
-    std::chrono::steady_clock::time_point deadline;
-    std::uint32_t hops = 0;      ///< dispatches so far (this one included)
-    std::uint64_t start_ns = 0;  ///< client kGet arrival
+    std::string payload{};  ///< kPut only: the value (kept for re-dispatch)
+    std::uint32_t hops = 0;      ///< dispatches before this one
+    std::uint64_t start_ns = 0;  ///< client request arrival
   };
 
-  /// A GET dispatch awaiting the wakeup's batch flush (batch_max > 1). The
-  /// member's load delta (router_.on_dispatch) is counted at queue time so
-  /// power-of-two-choices sees same-wakeup dispatches; the wire send, the
-  /// pending entry and the attempt counters happen at flush.
-  struct QueuedDispatch {
-    ConnId client = kInvalidConn;
-    std::uint64_t key = 0;
-    std::uint32_t hops = 0;
-    std::uint64_t start_ns = 0;
-  };
-
-  struct MemberState {
-    std::string address;
-    std::uint16_t port = 0;
-    ConnId conn = kInvalidConn;
-    bool up = false;
-    std::uint32_t connect_attempts = 0;
-    std::deque<PendingRequest> pending;   ///< in flight, oldest first
-    std::vector<QueuedDispatch> queued;   ///< awaiting batch flush
-  };
-
-  void handle(ConnId conn, Message&& message);
   void handle_client(ConnId conn, Message&& message);
-  void handle_member(std::uint32_t member, Message&& message);
-  void on_conn_close(ConnId conn);
-  void on_conn_connect(ConnId conn, bool ok);
+  /// Upstream callbacks: a member answered / a dispatch went on the wire /
+  /// a dispatch will get no answer / an untagged (scrape) reply arrived.
+  void handle_member(std::uint32_t member, PendingRequest&& request,
+                     Message&& reply);
+  void on_dispatch_sent(std::uint32_t member, const PendingRequest& request);
+  void on_dispatch_lost(std::uint32_t member, PendingRequest&& request,
+                        UpstreamLoss loss);
+  void handle_scrape(std::uint32_t member, const Message& message);
 
-  /// Sends `key` to `member`, recording the pending entry. False when the
-  /// connection is down or the send fails (nothing recorded).
-  bool dispatch_to(std::uint32_t member, ConnId client, std::uint64_t key,
-                   std::uint32_t hops, std::uint64_t start_ns,
-                   MsgType op = MsgType::kGet, const std::string& payload = {});
+  /// Hands `request` to `member`'s connection. False when the connection
+  /// is down or the send fails (`request` untouched, nothing counted).
+  bool dispatch_to(std::uint32_t member, PendingRequest&& request);
   /// Routes by power-of-two-choices and dispatches; fails the request when
   /// no candidate is live or the hop budget is spent.
-  void dispatch(ConnId client, std::uint64_t key, std::uint32_t hops,
-                std::uint64_t start_ns, MsgType op = MsgType::kGet,
-                const std::string& payload = {});
-  void fail_request(ConnId client, std::uint64_t key);
-  /// Reactor before-flush hook: sends every member's queued GET dispatches
-  /// (one kBatchGet each, plain kGet for a queue of one) so the batch frames
-  /// ride the wakeup's gathered write.
-  void flush_member_queues();
-  void flush_member_queue(std::uint32_t member);
-  void schedule_reconnect(std::uint32_t member);
+  void dispatch(PendingRequest&& request);
+  /// Answers the client with kError; ends the request's pending_total_ span.
+  void fail_request(const PendingRequest& request);
   void scrape_members();
-  void sweep_timeouts();
 
   RouterConfig config_;
   std::unique_ptr<Reactor> loop_;
   FleetRouter router_;
   Rng rng_;
-
-  std::vector<MemberState> members_;
-  std::unordered_map<ConnId, std::uint32_t> member_by_conn_;
+  Upstream<PendingRequest> members_;
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> forwarded_{0};
@@ -181,11 +155,8 @@ class RouterServer {
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> failures_{0};
   std::atomic<std::uint64_t> attempts_{0};
-  /// kBatchGet frames dispatched and the keys they carried.
-  std::atomic<std::uint64_t> batch_frames_{0};
-  std::atomic<std::uint64_t> batch_keys_{0};
   std::atomic<std::uint64_t> scrapes_{0};  ///< load-signal scrape rounds
-  std::atomic<std::uint32_t> frontends_up_{0};
+  /// Client requests not yet answered (queued, in flight or re-dispatching).
   std::atomic<std::uint64_t> pending_total_{0};
   std::atomic<bool> stopping_{false};
 

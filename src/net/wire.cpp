@@ -88,7 +88,12 @@ void encode_into(const Message& message, std::vector<std::uint8_t>& frame) {
   frame.clear();
   std::vector<std::uint8_t>& payload = frame;
   put_u32(payload, 0);  // length prefix, patched below
-  put_u8(payload, static_cast<std::uint8_t>(message.type));
+  if (message.id == 0) {
+    put_u8(payload, static_cast<std::uint8_t>(message.type));
+  } else {
+    put_u8(payload, static_cast<std::uint8_t>(message.type) | kIdFlag);
+    put_u64(payload, message.id);
+  }
   switch (message.type) {
     case MsgType::kGet:
     case MsgType::kMiss:
@@ -238,6 +243,10 @@ std::optional<Message> decode_payload(std::span<const std::uint8_t> payload) {
   if (!cursor.read_u8(raw_type)) return std::nullopt;
 
   Message message;
+  if ((raw_type & kIdFlag) != 0) {
+    raw_type &= static_cast<std::uint8_t>(~kIdFlag);
+    if (!cursor.read_u64(message.id) || message.id == 0) return std::nullopt;
+  }
   switch (static_cast<MsgType>(raw_type)) {
     case MsgType::kGet:
     case MsgType::kMiss:

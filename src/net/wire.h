@@ -5,7 +5,12 @@
 //   [u32 payload_length, big endian] [payload_length bytes]
 //
 // The payload starts with a one-byte message type followed by type-specific
-// big-endian fields. The protocol is deliberately tiny — GET by key id with
+// big-endian fields. A request may carry a nonzero request id: the type
+// byte then has kIdFlag set and the u64 id follows it, before the fields.
+// Every server echoes a request's id on its reply, so a client with many
+// requests in flight on one connection matches replies by id, never by
+// order or key. A frame without an id is byte-identical to the untagged
+// protocol. The protocol is deliberately tiny — GET by key id with
 // VALUE / MISS / REDIRECT replies, a STATS introspection pair, and the
 // mutable-data family (PUT / DELETE / quorum version reads, the replica
 // apply + ack pair that carries quorum replication, rebalance handoff
@@ -32,6 +37,8 @@ namespace scp::net {
 /// the stream corrupted and the connection is dropped.
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 inline constexpr std::size_t kLengthPrefixBytes = 4;
+/// Type-byte bit marking a frame that carries a request id (see Message::id).
+inline constexpr std::uint8_t kIdFlag = 0x80;
 
 enum class MsgType : std::uint8_t {
   kGet = 1,        ///< request: fetch `key`
@@ -65,16 +72,18 @@ enum class MsgType : std::uint8_t {
   kHotKeyReport = 22,    ///< one-way: node `hot.node`'s windowed top-k
                          ///< observation (gossiped between backends and
                          ///< pushed to subscribed front ends; never
-                         ///< answered, so it rides reply-FIFO connections
-                         ///< without disturbing the match queues)
+                         ///< answered and sent without an id, so the
+                         ///< receiver's id-matched request table never
+                         ///< sees it)
   kHotKeySubscribe = 23, ///< request: push future kHotKeyReports down this
-                         ///< connection (front ends send it after connect;
-                         ///< deliberately not acked — see kHotKeyReport)
+                         ///< connection (front ends send it after connect,
+                         ///< without an id; deliberately not acked)
   // --- batched forwarding ------------------------------------------------
-  kBatchGet = 24,   ///< request: fetch every key in `batch_keys` in one frame
+  kBatchGet = 24,   ///< request: fetch every key in `batch_keys` in one
+                    ///< frame; its id is a base, key i is request base+i
   kBatchReply = 25, ///< reply: one BatchItem per requested key, in request
                     ///< order (each item is a kValue/kMiss/kRedirect/kError
-                    ///< verdict for its key)
+                    ///< verdict for its key); echoes the batch's base id
 };
 
 // Bits of Message::flags (kVerValue / kReplicate / kRepAck).
@@ -125,6 +134,9 @@ struct ServerStats {
 /// encode() ignores the rest and decode_payload() zero-fills them.
 struct Message {
   MsgType type = MsgType::kPing;
+  /// Request id, 0 = none. A reply carries its request's id (a kBatchReply
+  /// the batch's base id). Encoded only when nonzero (kIdFlag).
+  std::uint64_t id = 0;
   std::uint64_t key = 0;    ///< kGet, kValue, kMiss, kRedirect, kError,
                             ///< every write/replication type
   std::uint32_t node = 0;   ///< kRedirect: suggested NodeId; kJoin/kLeave:
@@ -153,7 +165,8 @@ void encode_into(const Message& message, std::vector<std::uint8_t>& frame);
 
 /// Parses one frame payload (the bytes after the length prefix). Strict:
 /// returns nullopt on an unknown type, a truncated field, an embedded length
-/// that overruns the payload, or trailing bytes.
+/// that overruns the payload, trailing bytes, or a tagged frame whose id is
+/// 0 (a zero id is never encoded, so every frame has one encoding).
 std::optional<Message> decode_payload(std::span<const std::uint8_t> payload);
 
 /// Incremental frame extraction from a TCP byte stream. Feed arbitrary

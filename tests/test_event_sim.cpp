@@ -8,7 +8,6 @@
 #include "cache/lru_cache.h"
 #include "cache/perfect_cache.h"
 #include "cluster/cluster.h"
-#include "sim/obs_export.h"
 
 namespace scp {
 namespace {
@@ -45,34 +44,6 @@ TEST(EventSim, CacheHitRatioTracksHeadMass) {
   const EventSimResult r = simulate_events(cluster, cache, d, *selector,
                                            config_with(20000.0, 1.0));
   EXPECT_NEAR(r.cache_hit_ratio, d.head_mass(100), 0.02);
-}
-
-TEST(EventSim, ExportsLiveTierMetricNames) {
-  // The obs export must speak the live servers' vocabulary so a simulated
-  // run diffs directly against a scraped one.
-  const auto d = QueryDistribution::zipf(1000, 1.01);
-  Cluster cluster(make_partitioner("hash", 20, 3, 7), 100.0);
-  PerfectCache cache(50, d);
-  auto selector = make_selector("least-loaded");
-  const EventSimResult r = simulate_events(cluster, cache, d, *selector,
-                                           config_with(5000.0, 1.0));
-  const obs::MetricsSnapshot snap = event_sim_metrics(r);
-  EXPECT_EQ(snap.counters.at("frontend.requests"), r.total_queries);
-  EXPECT_EQ(snap.counters.at("frontend.hits"), r.cache_hits);
-  EXPECT_EQ(snap.counters.at("frontend.misses"),
-            r.total_queries - r.cache_hits);
-  EXPECT_EQ(snap.counters.at("backend.requests"), r.backend_arrivals);
-  EXPECT_EQ(snap.counters.at("frontend.failures"), r.dropped + r.unserved);
-  EXPECT_EQ(snap.gauges.at("frontend.backends_up"),
-            static_cast<std::int64_t>(r.min_alive_nodes));
-  ASSERT_EQ(snap.timers.count("frontend.request_us"), 1u);
-  EXPECT_EQ(snap.timers.at("frontend.request_us").count(), r.wait_us.count());
-  // Accounting identity carried over: requests == hits + forwarded +
-  // failures, the same invariant the live front end's counters satisfy.
-  EXPECT_EQ(snap.counters.at("frontend.requests"),
-            snap.counters.at("frontend.hits") +
-                snap.counters.at("frontend.forwarded") +
-                snap.counters.at("frontend.failures"));
 }
 
 TEST(EventSim, NoDropsWhenUnderloaded) {

@@ -6,23 +6,18 @@
 // identical to the batched path. Backend-silence windows are made
 // deterministic with a scripted FakeBackend that replies only when told.
 // Labeled slow — each case spins up servers on real sockets.
-#include <poll.h>
-#include <sys/socket.h>
-
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include "cluster/partitioner.h"
+#include "fake_backend.h"
 #include "net/backend_server.h"
 #include "net/frontend_server.h"
-#include "net/socket.h"
 #include "net/sync_client.h"
 #include "net/wire.h"
 
@@ -68,116 +63,6 @@ bool poll_until(double timeout_s, const std::function<bool()>& predicate) {
   }
   return predicate();
 }
-
-/// A scripted stand-in for scp_backend: accepts the front end's connection,
-/// decodes every frame, records GET keys in wire-arrival order (kBatchGet
-/// flattened), and sends replies only when the test says so. The window in
-/// which a forward stays in flight — where waiters park and batches build —
-/// is therefore as wide as the test needs, with no race against a real
-/// backend's reply.
-class FakeBackend {
- public:
-  ~FakeBackend() { stop(); }
-
-  bool start() {
-    listener_ = listen_tcp("127.0.0.1", 0, 16, &port_);
-    if (!listener_.valid()) return false;
-    thread_ = std::thread([this] { run(); });
-    return true;
-  }
-
-  void stop() {
-    stopping_.store(true, std::memory_order_relaxed);
-    if (thread_.joinable()) thread_.join();
-    listener_.reset();
-  }
-
-  std::uint16_t port() const noexcept { return port_; }
-
-  /// GET keys received so far, in wire order.
-  std::vector<std::uint64_t> keys() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return keys_;
-  }
-
-  /// GET-carrying frames received so far (a kBatchGet counts once).
-  std::uint64_t get_frames() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return get_frames_;
-  }
-
-  /// Encodes and sends `message` on the front end's connection.
-  bool reply(const Message& message) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (conn_fd_ < 0) return false;
-    const std::vector<std::uint8_t> frame = encode(message);
-    std::size_t sent = 0;
-    while (sent < frame.size()) {
-      const ssize_t n = ::send(conn_fd_, frame.data() + sent,
-                               frame.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
- private:
-  void run() {
-    while (!stopping_.load(std::memory_order_relaxed)) {
-      pollfd pfd{listener_.fd(), POLLIN, 0};
-      if (::poll(&pfd, 1, 20) <= 0) continue;
-      Socket conn(::accept(listener_.fd(), nullptr, nullptr));
-      if (!conn.valid()) continue;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        conn_fd_ = conn.fd();
-      }
-      serve(conn);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        conn_fd_ = -1;
-      }
-    }
-  }
-
-  void serve(const Socket& conn) {
-    FrameReader reader;
-    std::uint8_t buffer[16384];
-    while (!stopping_.load(std::memory_order_relaxed)) {
-      pollfd pfd{conn.fd(), POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, 20);
-      if (ready < 0) return;
-      if (ready == 0) continue;
-      const ssize_t n = ::recv(conn.fd(), buffer, sizeof(buffer), 0);
-      if (n <= 0) return;
-      reader.append({buffer, static_cast<std::size_t>(n)});
-      while (auto payload = reader.next_payload()) {
-        auto message = decode_payload(*payload);
-        if (!message.has_value()) return;
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (message->type == MsgType::kGet) {
-          keys_.push_back(message->key);
-          ++get_frames_;
-        } else if (message->type == MsgType::kBatchGet) {
-          for (const std::uint64_t key : message->batch_keys) {
-            keys_.push_back(key);
-          }
-          ++get_frames_;
-        }
-      }
-      if (reader.corrupted()) return;
-    }
-  }
-
-  Socket listener_;
-  std::uint16_t port_ = 0;
-  std::thread thread_;
-  std::atomic<bool> stopping_{false};
-  mutable std::mutex mutex_;
-  int conn_fd_ = -1;
-  std::vector<std::uint64_t> keys_;
-  std::uint64_t get_frames_ = 0;
-};
 
 /// Frontend over `fakes` with no cache (every GET forwards) and a long
 /// per-request deadline, so an unanswered forward neither retries nor times
@@ -266,7 +151,7 @@ TEST_P(BatchServing, ConcurrentMissesForOneColdKeyFetchOnce) {
 // forward — kValue answers its client, kMiss answers with a miss, and
 // kRedirect re-forwards to the named node without the client ever seeing
 // it. The fake owner holds all three forwards, then answers them with a
-// single mixed batch frame in wire order (the FIFO contract).
+// single mixed batch frame in wire order (item i answers request id base+i).
 TEST_P(BatchServing, MixedBatchReplySettlesEachForward) {
   constexpr std::uint32_t kNodes = 2;
   constexpr std::size_t kKeys = 3;

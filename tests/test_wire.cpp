@@ -203,6 +203,15 @@ std::vector<Message> every_message_type() {
   batch_reply_empty.type = MsgType::kBatchReply;
   messages.push_back(batch_reply_empty);
 
+  // Every shape again carrying a request id, so the round-trip, truncation
+  // and garbage sweeps cover the tagged encoding too (ids with high bytes
+  // set, and the smallest one).
+  const std::size_t untagged = messages.size();
+  for (std::size_t i = 0; i < untagged; ++i) {
+    Message tagged = messages[i];
+    tagged.id = i == 0 ? 1 : 0xf00dface00000000ULL + i;
+    messages.push_back(std::move(tagged));
+  }
   return messages;
 }
 
@@ -297,6 +306,83 @@ TEST(Wire, RejectsTrailingGarbage) {
     EXPECT_FALSE(decode_payload(payload).has_value())
         << "type=" << static_cast<int>(message.type);
   }
+}
+
+TEST(Wire, UntaggedFramesMatchGoldenBytes) {
+  // Frames without a request id are the original protocol byte for byte;
+  // hand-written clients parse them without knowing ids exist.
+  Message ping;
+  ping.type = MsgType::kPing;
+  EXPECT_EQ(encode(ping), (std::vector<std::uint8_t>{0, 0, 0, 1, 7}));
+
+  Message get;
+  get.type = MsgType::kGet;
+  get.key = 0x0102030405060708ULL;
+  EXPECT_EQ(encode(get), (std::vector<std::uint8_t>{0, 0, 0, 9, 1, 1, 2, 3, 4,
+                                                    5, 6, 7, 8}));
+
+  Message value;
+  value.type = MsgType::kValue;
+  value.key = 5;
+  value.payload = "ab";
+  EXPECT_EQ(encode(value),
+            (std::vector<std::uint8_t>{0, 0, 0, 15, 2, 0, 0, 0, 0, 0, 0, 0, 5,
+                                       0, 0, 0, 2, 'a', 'b'}));
+
+  Message put;
+  put.type = MsgType::kPut;
+  put.key = 9;
+  put.payload = "xyz";
+  EXPECT_EQ(encode(put),
+            (std::vector<std::uint8_t>{0, 0, 0, 16, 12, 0, 0, 0, 0, 0, 0, 0, 9,
+                                       0, 0, 0, 3, 'x', 'y', 'z'}));
+
+  Message write_reply;
+  write_reply.type = MsgType::kWriteReply;
+  write_reply.key = 9;
+  write_reply.version = 0x10;
+  EXPECT_EQ(encode(write_reply),
+            (std::vector<std::uint8_t>{0, 0, 0, 17, 14, 0, 0, 0, 0, 0, 0, 0, 9,
+                                       0, 0, 0, 0, 0, 0, 0, 0x10}));
+}
+
+TEST(Wire, TaggedFrameCarriesIdAfterTheTypeByte) {
+  Message get;
+  get.type = MsgType::kGet;
+  get.id = 0x1112131415161718ULL;
+  get.key = 2;
+  EXPECT_EQ(encode(get),
+            (std::vector<std::uint8_t>{0, 0, 0, 17, 1 | kIdFlag, 0x11, 0x12,
+                                       0x13, 0x14, 0x15, 0x16, 0x17, 0x18, 0,
+                                       0, 0, 0, 0, 0, 0, 2}));
+}
+
+TEST(Wire, RejectsTaggedFrameTruncatedInsideTheId) {
+  const std::vector<std::uint8_t> frame = [] {
+    Message get;
+    get.type = MsgType::kGet;
+    get.id = 77;
+    get.key = 3;
+    return encode(get);
+  }();
+  const std::span<const std::uint8_t> payload{
+      frame.data() + kLengthPrefixBytes, frame.size() - kLengthPrefixBytes};
+  // The flagged type byte plus 0..7 of the id's 8 bytes.
+  for (std::size_t cut = 1; cut < 1 + 8; ++cut) {
+    EXPECT_FALSE(decode_payload(payload.subspan(0, cut)).has_value()) << cut;
+  }
+  // A flagged type byte with no id at all but a full key behind it.
+  std::vector<std::uint8_t> no_id = {1 | kIdFlag, 0, 0, 0, 0, 0, 0, 0, 3};
+  EXPECT_FALSE(decode_payload(no_id).has_value());
+}
+
+TEST(Wire, RejectsTaggedFrameWithZeroId) {
+  // A zero id is never encoded (it means "none"), so a flagged frame
+  // carrying one is not a canonical encoding and is refused.
+  std::vector<std::uint8_t> payload = {1 | kIdFlag};
+  payload.insert(payload.end(), 8, 0);                   // id 0
+  payload.insert(payload.end(), {0, 0, 0, 0, 0, 0, 0, 3});  // key
+  EXPECT_FALSE(decode_payload(payload).has_value());
 }
 
 TEST(Wire, RejectsEmbeddedLengthOverrun) {
